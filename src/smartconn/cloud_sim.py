@@ -199,18 +199,11 @@ class FaultPlan:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-ALL_OK = FaultPlan.scripted()
-
-
 # ---------------------------------------------------------------------------
 # VM records and step results
 
 
 class VmLifecycle(Enum):
-    # Requested exists for provider implementations that grant
-    # asynchronously; the simulator grants in the same call, so records
-    # are only ever observed from Created onwards.
-    REQUESTED = "Requested"
     CREATED = "Created"
     BOOTSTRAPPED = "Bootstrapped"
     UNREACHABLE = "Unreachable"
@@ -221,7 +214,6 @@ class VmLifecycle(Enum):
 class VmRecord:
     vm_id: str
     lifecycle: VmLifecycle = VmLifecycle.CREATED
-    hosted_processes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -299,9 +291,6 @@ class Provider(ABC):
     def mark_bootstrapped(self, vm_id: str) -> None:
         pass
 
-    def set_hosted_processes(self, vm_id: str, processes: tuple[str, ...]) -> None:
-        pass
-
 
 class SimulatedProvider(Provider):
     """Fault-plan-driven provider. See module docstring for the model.
@@ -366,7 +355,6 @@ class SimulatedProvider(Provider):
         vm = self.get_vm(vm_id)
         self.journal.append({"op": "destroy_vm", "vm": vm_id})
         vm.lifecycle = VmLifecycle.DESTROYED
-        vm.hosted_processes = ()
         return vm
 
     def is_reachable(self, vm_id: str, now: int) -> bool:
@@ -423,9 +411,3 @@ class SimulatedProvider(Provider):
         vm = self.get_vm(vm_id)
         if vm.lifecycle is VmLifecycle.CREATED:
             vm.lifecycle = VmLifecycle.BOOTSTRAPPED
-
-    def set_hosted_processes(self, vm_id: str, processes: tuple[str, ...]) -> None:
-        vm = self.get_vm(vm_id)
-        if processes and vm.lifecycle not in (VmLifecycle.BOOTSTRAPPED, VmLifecycle.UNREACHABLE):
-            raise ProviderError(f"vm {vm_id!r} cannot host processes in state {vm.lifecycle.value}")
-        vm.hosted_processes = tuple(processes)

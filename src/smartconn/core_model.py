@@ -616,9 +616,6 @@ class CostModel:
         return self.task_iteration[i]
 
 
-ZERO_COST = CostModel(0, 0, 0, (0,), 0, 0)
-
-
 def wcet_bound(defn: SCDefinition, req: UserReqVM, cost: CostModel) -> int:
     """Upper bound on a job's total virtual duration.
 

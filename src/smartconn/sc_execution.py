@@ -49,7 +49,6 @@ class TaskCodeError(SmartConnError):
 
 class ProcessStatus(Enum):
     PENDING = "Pending"
-    RUNNING = "Running"
     DONE = "Done"
     RERUNNABLE = "Rerunnable"
     FAILED_BEYOND_RECOVERY = "FailedBeyondRecovery"
@@ -95,9 +94,6 @@ class Assignment:
     """process_id -> vm_id for one iteration."""
 
     mapping: Mapping[str, str]
-
-    def vms(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.mapping.values())))
 
 
 def schedule(
@@ -239,8 +235,6 @@ def apply_ft_strategy(
 class IterationOutcome:
     outputs: dict[str, OutputRecord]
     failed_beyond_recovery: set[str] = field(default_factory=set)
-    converged: bool | None = None
-    metric_value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -269,7 +263,6 @@ def _dispatch(
     provider: Provider, process: ProcessInstance, t_code: TaskCodeRef, now: int
 ) -> StepStatus:
     """Run one remote step for a process; on success attach the output."""
-    process.status = ProcessStatus.RUNNING
     step = RemoteStep(
         KIND_TASK,
         f"task {process.task_index} iteration {process.iteration}",
@@ -301,12 +294,6 @@ def execute_iteration(
     task's fault-tolerance strategy to any that land on a lost VM."""
     outcome = IterationOutcome({})
     by_id = {p.process_id: p for p in processes}
-    provider_hosts: dict[str, list[str]] = {}
-    for pid, vm in assignment.mapping.items():
-        provider_hosts.setdefault(vm, []).append(pid)
-    for vm, pids in sorted(provider_hosts.items()):
-        provider.set_hosted_processes(vm, tuple(sorted(pids)))
-
     pending = sorted(processes, key=lambda p: p.process_id)
     while pending:
         affected: list[ProcessInstance] = []
@@ -330,8 +317,6 @@ def execute_iteration(
             p.assigned_vm = vm
             p.rerun_count += 1
             pending.append(p)
-    for vm in sorted(provider_hosts):
-        provider.set_hosted_processes(vm, ())
     return outcome
 
 
@@ -344,6 +329,13 @@ class TaskSummary:
     iterations_run: int
     converged: bool | None  # None when the task has no criterion
     final_metric: float | None
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "iterations": self.iterations_run,
+            "converged": self.converged,
+            "final_metric": self.final_metric,
+        }
 
 
 @dataclass(frozen=True)

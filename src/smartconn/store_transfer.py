@@ -2,20 +2,19 @@
 
 Store layout, relative to the store root:
 
-    jobs/<job_id>/definition.json
-    jobs/<job_id>/input.json
     jobs/<job_id>/status.json       # digest-protected job record
-    jobs/<job_id>/events.jsonl      # one canonical JSON event per line
     jobs/<job_id>/output/           # records.jsonl + summary.json
     curation/index.jsonl            # one dataset record per curated job
     sweeps/<sweep_id>.json          # job ids belonging to a sweep
     transfers/                      # default destination for job outputs
     settings.json
 
-status.json wraps the job record together with the SHA-256 of its
-canonical serialization; any byte flip or truncation surfaces as
-CorruptRecord on load. Writes go through a temp file and os.replace, so a
-reader never observes a half-written record.
+status.json is the only job record: it holds the definition, the data
+input and the event log (`smartconn job status <id> --events` prints the
+log), wrapped together with the SHA-256 of the record's canonical
+serialization; any byte flip or truncation surfaces as CorruptRecord on
+load. Writes go through a temp file and os.replace, so a reader never
+observes a half-written record.
 """
 
 from __future__ import annotations
@@ -82,13 +81,6 @@ class TransferReceipt:
     destination_path: str
     files: tuple[FileEntry, ...]
     completed_at: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "destination_path": self.destination_path,
-            "files": [f.to_dict() for f in self.files],
-            "completed_at": self.completed_at,
-        }
 
 
 class DestinationAdapter(ABC):
@@ -239,9 +231,6 @@ class JobStore:
     def save_job(self, job: Job) -> None:
         d = self.job_dir(job.job_id)
         d.mkdir(parents=True, exist_ok=True)
-        _atomic_write(d / "definition.json", json.dumps(job.definition.to_dict(), indent=2, sort_keys=True) + "\n")
-        _atomic_write(d / "input.json", json.dumps(dict(job.data_input), indent=2, sort_keys=True) + "\n")
-        _atomic_write(d / "events.jsonl", job.event_log.to_jsonl())
         record = job.to_dict()
         wrapped = {"sha256": sha256_hex(canonical_json(record).encode()), "job": record}
         _atomic_write(d / "status.json", json.dumps(wrapped, indent=2, sort_keys=True) + "\n")
@@ -271,14 +260,7 @@ class JobStore:
         lines = "".join(canonical_json(r.to_dict()) + "\n" for r in output.records)
         _atomic_write(out_dir / "records.jsonl", lines)
         summary = {
-            "tasks": {
-                str(k): {
-                    "iterations": s.iterations_run,
-                    "converged": s.converged,
-                    "final_metric": s.final_metric,
-                }
-                for k, s in sorted(output.task_summaries.items())
-            },
+            "tasks": {str(k): s.to_dict() for k, s in sorted(output.task_summaries.items())},
             "failed": [[pid, i] for pid, i in output.failed],
             "partial": output.partial,
         }
@@ -314,19 +296,11 @@ class JobStore:
         exactly once."""
         if any(r.job_id == job.job_id for r in self.load_curation()):
             raise DuplicateDataset(f"job {job.job_id!r} is already curated")
-        metrics = {
-            f"task{k}": {
-                "iterations": s.iterations_run,
-                "converged": s.converged,
-                "final_metric": s.final_metric,
-            }
-            for k, s in sorted(output.task_summaries.items())
-        }
         record = DatasetRecord(
             dataset_id=f"ds-{job.job_id}",
             job_id=job.job_id,
             parameters=dict(job.data_input),
-            metrics=metrics,
+            metrics={f"task{k}": s.to_dict() for k, s in sorted(output.task_summaries.items())},
             files=receipt.files,
             created_at=receipt.completed_at,
             partial=output.partial,

@@ -109,9 +109,6 @@ class CleanupReport:
     destroyed: tuple[str, ...]
     time: int
 
-    def to_payload(self) -> dict:
-        return {"destroyed": list(self.destroyed), "time": self.time}
-
 
 def cleanup(provider: Provider, vms: tuple[str, ...], now: int) -> CleanupReport:
     """Destroy every listed VM. Destruction always succeeds and repeating

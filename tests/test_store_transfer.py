@@ -96,9 +96,11 @@ def test_save_and_load_job_roundtrip(tmp_path):
     job, store, _ = run_into_store(tmp_path)
     assert store.load_job(job.job_id) == job
     d = store.job_dir(job.job_id)
-    assert {p.name for p in d.iterdir()} >= {
-        "definition.json", "input.json", "status.json", "events.jsonl", "output",
-    }
+    assert {p.name for p in d.iterdir()} == {"status.json", "output"}
+    assert {p.name for p in (d / "output").iterdir()} == {"records.jsonl", "summary.json"}
+    rejected, _, _ = run_into_store(tmp_path, data={"x0": -1.0}, store=store)
+    assert rejected.outcome.kind is OutcomeKind.DATA_CHECK_FAILED
+    assert [p.name for p in store.job_dir(rejected.job_id).iterdir()] == ["status.json"]
 
 
 def test_unknown_job_raises(tmp_path):
@@ -134,8 +136,7 @@ def test_job_ids_allocate_sequentially(tmp_path):
 
 def test_stored_events_match_the_in_memory_log(tmp_path):
     job, store, _ = run_into_store(tmp_path)
-    on_disk = (store.job_dir(job.job_id) / "events.jsonl").read_text()
-    assert on_disk == job.event_log.to_jsonl()
+    assert store.load_job(job.job_id).event_log.to_jsonl() == job.event_log.to_jsonl()
 
 
 def test_output_summary_reflects_the_run(tmp_path):
@@ -157,6 +158,7 @@ def test_successful_run_curates_one_dataset(tmp_path):
     assert rec.dataset_id == f"ds-{job.job_id}"
     assert rec.parameters == dict(FIXED_INPUT)
     assert rec.metrics["task1"]["final_metric"] == 0.5
+    assert rec.metrics["task1"] == store.load_output_summary(job.job_id)["tasks"]["1"]
     assert rec.partial is False
     assert rec.files  # manifest carried over from the receipt
 
