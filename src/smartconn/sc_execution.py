@@ -284,7 +284,6 @@ def _dispatch(
 def execute_iteration(
     provider: Provider,
     processes: list[ProcessInstance],
-    assignment: Assignment,
     t_code: TaskCodeRef,
     param: ExecParamT,
     pool: tuple[str, ...],
@@ -395,14 +394,12 @@ def run_tasks(
                 ProcessInstance(f"t{k}p{j}", k, i, params) for j in range(1, n_processes + 1)
             ]
             try:
-                assignment = schedule(processes, healthy, sched)
+                schedule(processes, healthy, sched)  # sets each process's assigned_vm
             except UnsatisfiableConstraint as e:
                 return fail(f"task {k} iteration {i}: scheduling failed: {e}")
             clock.advance(cost.task_cost(k))
             try:
-                out = execute_iteration(
-                    provider, processes, assignment, t_code, param, vm_pool, clock.now
-                )
+                out = execute_iteration(provider, processes, t_code, param, vm_pool, clock.now)
             except TaskCodeError as e:
                 return fail(f"task {k} iteration {i}: {e}")
             failed.extend((pid, i) for pid in sorted(out.failed_beyond_recovery))

@@ -5,8 +5,10 @@ Store layout, relative to the store root:
     jobs/<job_id>/status.json       # digest-protected job record
     jobs/<job_id>/output/           # records.jsonl + summary.json
     curation/index.jsonl            # one dataset record per curated job
+    curation/claims/<job_id>        # empty; created once, when the job is curated
     sweeps/<sweep_id>.json          # job ids belonging to a sweep
-    transfers/                      # default destination for job outputs
+    transfers/<job_id>/             # default destination for job outputs:
+                                    #   records.jsonl + payloads/<process>-i<iteration>.txt
     settings.json
 
 status.json is the only job record: it holds the definition, the data
@@ -15,6 +17,13 @@ log), wrapped together with the SHA-256 of the record's canonical
 serialization; any byte flip or truncation surfaces as CorruptRecord on
 load. Writes go through a temp file and os.replace, so a reader never
 observes a half-written record.
+
+Exactly-once curation rests on the claim file, not on the index: curate
+creates curation/claims/<job_id> with O_EXCL before it appends to
+curation/index.jsonl, so its cost does not grow with the index and a
+second process on the same store is rejected too. Stores written before
+claim files existed have none for their curated jobs; only a direct
+curate call on such a job could append a second record for it.
 """
 
 from __future__ import annotations
@@ -102,16 +111,18 @@ class LocalDirDestination(DestinationAdapter):
 
 
 def _render_output_files(output: TaskRunOutput) -> list[tuple[str, bytes]]:
-    """One record file per (process, iteration); payloads, when present,
-    go to a sibling file the record points at."""
+    """records.jsonl, one canonical record per line in output order, plus
+    one payloads/<process>-i<iteration>.txt per record that carries a
+    payload; the record's payload_path points at that file."""
     files: list[tuple[str, bytes]] = []
+    lines: list[str] = []
     for r in output.records:
-        stem = f"{r.process}-i{r.iteration}"
         payload_path = None
         if r.payload is not None:
-            payload_path = f"payloads/{stem}.txt"
+            payload_path = f"payloads/{r.process}-i{r.iteration}.txt"
             files.append((payload_path, r.payload.encode()))
-        files.append((f"records/{stem}.json", (canonical_json(r.to_dict(payload_path)) + "\n").encode()))
+        lines.append(canonical_json(r.to_dict(payload_path)) + "\n")
+    files.append(("records.jsonl", "".join(lines).encode()))
     return files
 
 
@@ -123,11 +134,13 @@ def transfer_output(
     retry_limit: int = 1,
     now: int = 0,
 ) -> TransferReceipt:
-    """Copy the job's output records under destination/job_id/.
+    """Copy the job's output under destination/job_id/: the records as
+    records.jsonl and any payloads under payloads/.
 
     Each attempt consumes one transfer outcome from the provider's fault
     plan; after 1 + retry_limit failed attempts raises TransferFailed.
-    The receipt lists every file written with its size and SHA-256.
+    The receipt lists every file written with its size and SHA-256,
+    sorted by path.
     """
     last_pos = -1
     for _ in range(1 + retry_limit):
@@ -213,8 +226,9 @@ class JobStore:
         self.jobs_dir = self.root / "jobs"
         self.curation_dir = self.root / "curation"
         self.sweeps_dir = self.root / "sweeps"
+        self.claims_dir = self.curation_dir / "claims"
         self.transfers_dir = self.root / "transfers"
-        for d in (self.jobs_dir, self.curation_dir, self.sweeps_dir, self.transfers_dir):
+        for d in (self.jobs_dir, self.claims_dir, self.sweeps_dir, self.transfers_dir):
             d.mkdir(parents=True, exist_ok=True)
 
     # -- jobs
@@ -293,9 +307,13 @@ class JobStore:
 
     def curate(self, receipt: TransferReceipt, job: Job, output: TaskRunOutput) -> DatasetRecord:
         """Append one dataset record for the job; a job can be curated
-        exactly once."""
-        if any(r.job_id == job.job_id for r in self.load_curation()):
-            raise DuplicateDataset(f"job {job.job_id!r} is already curated")
+        exactly once. The job's claim file is created first, exclusively,
+        so a second call, from this process or another, raises
+        DuplicateDataset without reading the index."""
+        try:
+            os.close(os.open(self.claims_dir / job.job_id, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            raise DuplicateDataset(f"job {job.job_id!r} is already curated") from None
         record = DatasetRecord(
             dataset_id=f"ds-{job.job_id}",
             job_id=job.job_id,

@@ -196,8 +196,8 @@ def test_iteration_all_ok_collects_every_output():
     p = SimulatedProvider(FaultPlan.scripted())
     pool = ready_pool(p, 2)
     ps = make_processes(2, params={"x0": 8.0})
-    a = schedule(ps, list(pool), None)
-    out = execute_iteration(p, ps, a, contraction_code(), demo_definition().exec_param_t[0], pool, now=4)
+    schedule(ps, list(pool), None)
+    out = execute_iteration(p, ps, contraction_code(), demo_definition().exec_param_t[0], pool, now=4)
     assert sorted(out.outputs) == ["t1p1", "t1p2"]
     assert not out.failed_beyond_recovery
     assert all(x.status is ProcessStatus.DONE for x in ps)
@@ -208,11 +208,11 @@ def test_iteration_survivors_are_kept_when_a_vm_is_lost_and_abandoned():
     p = SimulatedProvider(plan)
     pool = ready_pool(p, 2)
     ps = make_processes(2, params={"x0": 8.0})
-    a = schedule(ps, list(pool), None)
+    schedule(ps, list(pool), None)
     param = replace(
         demo_definition().exec_param_t[0], rerun_limit=0, ft_strategy=FtStrategy.ABANDON_AND_COLLECT
     )
-    out = execute_iteration(p, ps, a, contraction_code(), param, pool, now=4)
+    out = execute_iteration(p, ps, contraction_code(), param, pool, now=4)
     assert sorted(out.outputs) == ["t1p2"]
     assert out.failed_beyond_recovery == {"t1p1"}
 
@@ -222,8 +222,8 @@ def test_iteration_rerun_reaches_a_surviving_vm():
     p = SimulatedProvider(plan)
     pool = ready_pool(p, 2)
     ps = make_processes(2, params={"x0": 8.0})
-    a = schedule(ps, list(pool), None)
-    out = execute_iteration(p, ps, a, contraction_code(), demo_definition().exec_param_t[0], pool, now=4)
+    schedule(ps, list(pool), None)
+    out = execute_iteration(p, ps, contraction_code(), demo_definition().exec_param_t[0], pool, now=4)
     assert sorted(out.outputs) == ["t1p1", "t1p2"]
     assert ps[0].rerun_count == 1 and ps[0].assigned_vm == "vm-1"
 
@@ -232,9 +232,9 @@ def test_iteration_task_code_failure_is_not_recovered():
     p = SimulatedProvider(FaultPlan.scripted(task_step=[True, False]))
     pool = ready_pool(p, 2)
     ps = make_processes(2, params={"x0": 8.0})
-    a = schedule(ps, list(pool), None)
+    schedule(ps, list(pool), None)
     with pytest.raises(TaskCodeError, match="t1p2"):
-        execute_iteration(p, ps, a, contraction_code(), demo_definition().exec_param_t[0], pool, now=4)
+        execute_iteration(p, ps, contraction_code(), demo_definition().exec_param_t[0], pool, now=4)
 
 
 # ---------------------------------------------------------------------------

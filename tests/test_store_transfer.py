@@ -3,7 +3,7 @@ import json
 import pytest
 
 from smartconn.cloud_sim import FaultPlan, SimulatedProvider
-from smartconn.core_model import MissingMetric, OutcomeKind, SweepSpec, UserReqVM
+from smartconn.core_model import MissingMetric, OutcomeKind, SweepSpec, UserReqVM, canonical_json
 from smartconn.sc_engine import Env, run_to_completion, start_job
 from smartconn.sc_execution import OutputRecord, TaskRunOutput, TaskSummary
 from smartconn.store_transfer import (
@@ -42,13 +42,15 @@ def run_into_store(tmp_path, defn=None, data=None, plan=None, store=None):
 # transfer
 
 
-def test_transfer_writes_one_record_file_per_process_iteration(tmp_path):
+def test_transfer_writes_one_records_file(tmp_path):
     provider = SimulatedProvider(FaultPlan.scripted())
-    receipt = transfer_output(two_record_output(), tmp_path, "job-0001", provider)
-    assert [e.path for e in receipt.files] == ["records/t1p1-i1.json", "records/t1p2-i1.json"]
+    output = two_record_output()
+    receipt = transfer_output(output, tmp_path, "job-0001", provider)
+    assert [e.path for e in receipt.files] == ["records.jsonl"]
     assert receipt.destination_path == str(tmp_path / "job-0001")
-    written = json.loads((tmp_path / "job-0001" / "records/t1p1-i1.json").read_text())
-    assert written == {
+    lines = (tmp_path / "job-0001" / "records.jsonl").read_text().splitlines()
+    assert lines == [canonical_json(r.to_dict(None)) for r in output.records]
+    assert json.loads(lines[0]) == {
         "process": "t1p1", "task": 1, "iteration": 1,
         "metrics": {"value": 4.0}, "payload_path": None,
     }
@@ -59,16 +61,16 @@ def test_transfer_includes_payload_files_when_present(tmp_path):
     provider = SimulatedProvider(FaultPlan.scripted())
     receipt = transfer_output(two_record_output(payloads=True), tmp_path, "j", provider)
     paths = [e.path for e in receipt.files]
-    assert "payloads/t1p1-i1.txt" in paths and "records/t1p1-i1.json" in paths
+    assert "payloads/t1p1-i1.txt" in paths and "records.jsonl" in paths
     assert (tmp_path / "j" / "payloads/t1p1-i1.txt").read_text() == "out a"
-    record = json.loads((tmp_path / "j" / "records/t1p1-i1.json").read_text())
+    record = json.loads((tmp_path / "j" / "records.jsonl").read_text().splitlines()[0])
     assert record["payload_path"] == "payloads/t1p1-i1.txt"
 
 
 def test_transfer_retries_once_by_default(tmp_path):
     provider = SimulatedProvider(FaultPlan.scripted(transfer=[False, True]))
     receipt = transfer_output(two_record_output(), tmp_path, "j", provider)
-    assert len(receipt.files) == 2
+    assert len(receipt.files) == 1
     assert [e["ok"] for e in provider.journal if e["op"] == "transfer"] == [False, True]
 
 
@@ -85,7 +87,7 @@ def test_verify_receipt_catches_tampering(tmp_path):
     target = tmp_path / "j" / receipt.files[0].path
     target.write_bytes(target.read_bytes()[:-2] + b'!"')
     problems = verify_receipt(receipt)
-    assert problems and "t1p1" in problems[0]
+    assert problems and "records.jsonl" in problems[0]
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +175,25 @@ def test_curating_the_same_job_twice_is_rejected(tmp_path):
     job, store, env = run_into_store(tmp_path)
     with pytest.raises(DuplicateDataset):
         store.curate(env.receipts[job.job_id], job, env.pending_output[job.job_id])
+
+
+def test_curate_never_reads_the_index(tmp_path, monkeypatch):
+    def no_index_reads(self):
+        raise AssertionError("curate read the curation index")
+
+    monkeypatch.setattr(JobStore, "load_curation", no_index_reads)
+    job, store, env = run_into_store(tmp_path)
+    assert (store.claims_dir / job.job_id).is_file()
+    with pytest.raises(DuplicateDataset):
+        store.curate(env.receipts[job.job_id], job, env.pending_output[job.job_id])
+
+
+def test_a_second_store_on_the_same_root_rejects_the_duplicate(tmp_path):
+    job, store, env = run_into_store(tmp_path)
+    other = JobStore(store.root)  # as a second CLI process would open it
+    with pytest.raises(DuplicateDataset):
+        other.curate(env.receipts[job.job_id], job, env.pending_output[job.job_id])
+    assert [r.job_id for r in other.load_curation()] == [job.job_id]
 
 
 def test_partial_outputs_are_flagged_in_the_dataset(tmp_path):
