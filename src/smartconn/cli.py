@@ -4,11 +4,18 @@ Exit codes: 0 success, 1 domain failure (unknown job, invalid definition,
 corrupt record, ...), 2 usage errors (argparse's default). A job that runs
 to completion with a failure outcome is still exit 0; the outcome is data,
 printed for the caller.
+
+The argparse tree is built once per process, on first use, and reused by
+every later `main()` call; each call still parses into a fresh
+Namespace. A shell invocation builds it once either way; in-process
+callers (tests, notebooks, scripts that call `main()` in a loop) pay for
+it only once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -193,7 +200,10 @@ def cmd_settings(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="smartconn",
         description="Run fault-tolerant connector jobs over a simulated VM pool.",

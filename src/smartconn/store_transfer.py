@@ -13,10 +13,18 @@ Store layout, relative to the store root:
 
 status.json is the only job record: it holds the definition, the data
 input and the event log (`smartconn job status <id> --events` prints the
-log), wrapped together with the SHA-256 of the record's canonical
-serialization; any byte flip or truncation surfaces as CorruptRecord on
-load. Writes go through a temp file and os.replace, so a reader never
-observes a half-written record.
+log). It is one line, {"job":<record>,"sha256":"<digest>"}, where the
+record is in canonical form (sorted keys, no whitespace) and the digest
+is the SHA-256 of exactly those bytes; any byte flip or truncation
+surfaces as CorruptRecord on load. load_job recomputes the digest over
+the parsed record, so pretty-printed records written by earlier versions
+still load. summary.json is canonical JSON too. Writes go through a temp
+file and os.replace, so a reader never observes a half-written record.
+
+Job ids are claimed, not just counted: allocate_job_id creates
+jobs/<job_id> with mkdir and moves to the next number if it exists, so
+two stores on one root never hand out the same id. A directory without
+status.json is a claim whose job was never saved; list_jobs skips it.
 
 Exactly-once curation rests on the claim file, not on the index: curate
 creates curation/claims/<job_id> with O_EXCL before it appends to
@@ -237,17 +245,25 @@ class JobStore:
         return self.jobs_dir / job_id
 
     def allocate_job_id(self) -> str:
+        """Claim the next free job id by creating its directory, so two
+        stores on one root, in this process or another, never hand out
+        the same id."""
         n = sum(1 for _ in self.jobs_dir.iterdir()) + 1
-        while (self.jobs_dir / f"job-{n:04d}").exists():
-            n += 1
-        return f"job-{n:04d}"
+        while True:
+            job_id = f"job-{n:04d}"
+            try:
+                self.job_dir(job_id).mkdir()
+                return job_id
+            except FileExistsError:
+                n += 1
 
     def save_job(self, job: Job) -> None:
         d = self.job_dir(job.job_id)
         d.mkdir(parents=True, exist_ok=True)
-        record = job.to_dict()
-        wrapped = {"sha256": sha256_hex(canonical_json(record).encode()), "job": record}
-        _atomic_write(d / "status.json", json.dumps(wrapped, indent=2, sort_keys=True) + "\n")
+        body = canonical_json(job.to_dict())
+        # canonical_json of {"job": record, "sha256": digest}, without
+        # serializing the record a second time
+        _atomic_write(d / "status.json", f'{{"job":{body},"sha256":"{sha256_hex(body.encode())}"}}\n')
 
     def load_job(self, job_id: str) -> Job:
         path = self.job_dir(job_id) / "status.json"
@@ -264,7 +280,13 @@ class JobStore:
         return Job.from_dict(record)
 
     def list_jobs(self) -> list[Job]:
-        return [self.load_job(p.name) for p in sorted(self.jobs_dir.iterdir()) if p.is_dir()]
+        """Every saved job; an id claimed by a process that died before its
+        first save has a directory but no status.json and is skipped."""
+        return [
+            self.load_job(p.name)
+            for p in sorted(self.jobs_dir.iterdir())
+            if (p / "status.json").is_file()
+        ]
 
     # -- outputs
 
@@ -278,7 +300,7 @@ class JobStore:
             "failed": [[pid, i] for pid, i in output.failed],
             "partial": output.partial,
         }
-        _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _atomic_write(out_dir / "summary.json", canonical_json(summary) + "\n")
 
     def load_output_records(self, job_id: str) -> list[dict[str, Any]]:
         path = self.job_dir(job_id) / "output" / "records.jsonl"

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import smartconn
-from smartconn.cli import main, parse_vms
+from smartconn.cli import build_parser, main, parse_vms
 from smartconn.cloud_sim import FaultPlan
 from smartconn.core_model import SweepSpec
 from smartconn.store_transfer import JobStore
@@ -73,6 +73,23 @@ def test_inverted_vms_bounds_are_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["job", "create", "--def", "d", "--input", "i", "--vms", "2:5"])
     assert exc.value.code == 2
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_successive_calls_on_one_parser_do_not_leak_arguments(workspace, capsys):
+    plan_path = workspace / "plan.json"
+    FaultPlan.scripted(create_vm=[False] * 8).to_file(plan_path)
+    assert create_job(workspace, "--fault-plan", str(plan_path)) == 0
+    assert "job-0001  state=Completed  outcome=VmFailed" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        create_job(workspace, "--vms", "banana")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert create_job(workspace) == 0
+    assert "job-0002  state=Completed  outcome=Success" in capsys.readouterr().out
 
 
 def test_parse_vms_accepts_ideal_colon_minimal():

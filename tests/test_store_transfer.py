@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,34 @@ def test_job_ids_allocate_sequentially(tmp_path):
     job2, _, _ = run_into_store(tmp_path, store=store)
     assert (job1.job_id, job2.job_id) == ("job-0001", "job-0002")
     assert [j.job_id for j in store.list_jobs()] == ["job-0001", "job-0002"]
+
+
+def test_two_stores_on_one_root_claim_distinct_job_ids(tmp_path):
+    first, second = JobStore(tmp_path), JobStore(tmp_path)
+    assert (first.allocate_job_id(), second.allocate_job_id()) == ("job-0001", "job-0002")
+    # both claims stay unsaved, as if their processes had died
+    job, _, _ = run_into_store(tmp_path, store=first)
+    assert job.job_id == "job-0003"
+    assert [j.job_id for j in second.list_jobs()] == ["job-0003"]
+
+
+def test_job_record_and_summary_are_one_canonical_line_each(tmp_path):
+    job, store, _ = run_into_store(tmp_path)
+    d = store.job_dir(job.job_id)
+    body = canonical_json(job.to_dict())
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    assert (d / "status.json").read_text() == '{"job":' + body + ',"sha256":"' + digest + '"}\n'
+    summary = store.load_output_summary(job.job_id)
+    assert (d / "output" / "summary.json").read_text() == canonical_json(summary) + "\n"
+
+
+def test_a_pretty_printed_record_from_an_older_store_still_loads(tmp_path):
+    job, store, _ = run_into_store(tmp_path)
+    record = job.to_dict()
+    wrapped = {"sha256": hashlib.sha256(canonical_json(record).encode()).hexdigest(), "job": record}
+    path = store.job_dir(job.job_id) / "status.json"
+    path.write_text(json.dumps(wrapped, indent=2, sort_keys=True) + "\n")
+    assert store.load_job(job.job_id) == job
 
 
 def test_stored_events_match_the_in_memory_log(tmp_path):
