@@ -7,9 +7,9 @@ printed for the caller.
 
 The argparse tree is built once per process, on first use, and reused by
 every later `main()` call; each call still parses into a fresh
-Namespace. A shell invocation builds it once either way; in-process
-callers (tests, notebooks, scripts that call `main()` in a loop) pay for
-it only once.
+Namespace. A shell invocation builds it once either way, so only code
+that calls `main()` many times in one process (the test suite, the
+`store_fill` benchmark) gains from this.
 """
 
 from __future__ import annotations
