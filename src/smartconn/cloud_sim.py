@@ -237,6 +237,9 @@ class StepResult:
     plan_position: int | None = None
 
 
+_UNREACHABLE = StepResult(StepStatus.VM_UNREACHABLE)
+
+
 @dataclass(frozen=True)
 class RemoteStep:
     """One remote command: its plan queue kind plus trace metadata."""
@@ -302,6 +305,12 @@ class SimulatedProvider(Provider):
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self._rng = random.Random(plan.seed) if plan.mode == "seeded" else None
+        self._p_fail = {
+            KIND_CREATE: plan.p_create_fail,
+            KIND_BOOTSTRAP: plan.p_bootstrap_fail,
+            KIND_TASK: plan.p_task_fail,
+            KIND_TRANSFER: plan.p_transfer_fail,
+        }
         self._cursors: dict[str, int] = {k: 0 for k in _QUEUE_KINDS}
         self._vms: dict[str, VmRecord] = {}
         self._created_order: list[str] = []
@@ -314,13 +323,7 @@ class SimulatedProvider(Provider):
         pos = self._cursors[kind]
         self._cursors[kind] = pos + 1
         if self._rng is not None:
-            p = {
-                KIND_CREATE: self.plan.p_create_fail,
-                KIND_BOOTSTRAP: self.plan.p_bootstrap_fail,
-                KIND_TASK: self.plan.p_task_fail,
-                KIND_TRANSFER: self.plan.p_transfer_fail,
-            }[kind]
-            return self._rng.random() >= p, pos
+            return self._rng.random() >= self._p_fail[kind], pos
         queue = getattr(self.plan, kind)
         ok = queue[pos] if pos < len(queue) else True
         return ok, pos
@@ -394,7 +397,7 @@ class SimulatedProvider(Provider):
         if not self.is_reachable(vm_id, now):
             entry["result"] = "unreachable"
             self.journal.append(entry)
-            return StepResult(StepStatus.VM_UNREACHABLE)
+            return _UNREACHABLE
         ok, pos = self._draw(step.kind)
         entry["result"] = "ok" if ok else "failed"
         self.journal.append(entry)

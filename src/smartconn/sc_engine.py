@@ -137,7 +137,7 @@ class Env:
 
     provider: Provider
     clock: Clock = field(default_factory=Clock)
-    cost: CostModel = field(default_factory=CostModel)
+    cost: CostModel = CostModel()  # frozen, so one instance serves every Env
     store: JobStore | None = None
     transfer_retry_limit: int = 1
     # phase products that are not part of the persisted job record
@@ -171,9 +171,10 @@ def start_job(
     )
 
 
-def _emit(job: Job, env: Env, kind: SignalKind, source: str, payload: Mapping[str, Any] | None = None) -> Job:
-    log = append_event(job.event_log, env.clock.now, Signal(kind, payload), source)
-    return replace(job, event_log=log)
+def _emit(
+    log: EventLog, env: Env, kind: SignalKind, source: str, payload: Mapping[str, Any] | None = None
+) -> EventLog:
+    return append_event(log, env.clock.now, Signal(kind, payload), source)
 
 
 def _derive_outcome(log: EventLog) -> Outcome:
@@ -194,63 +195,64 @@ def _derive_outcome(log: EventLog) -> Outcome:
 def step(job: Job, env: Env) -> tuple[Job, tuple[Signal, ...]]:
     """Advance the job by one phase; returns the successor and the signals
     emitted during the phase."""
-    before = len(job.event_log.entries)
     if job.state is JobState.COMPLETED:
         raise StepOnCompleted(f"job {job.job_id} already completed")
+    log = job.event_log
+    before = len(log.entries)
+    changes: dict[str, Any] = {}
 
     if job.state is JobState.CREATED:
-        job = replace(job, state=JobState.DATA_CHECKING)
         env.clock.advance(env.cost.data_check)
         result = check_input(job.data_input, job.definition.data_constraints)
         if result.ok:
-            job = _emit(job, env, SignalKind.DATA_CHECK_OK, SRC_DATA_ANALYSIS)
-            job = replace(job, state=JobState.ENV_SETUP)
+            log = _emit(log, env, SignalKind.DATA_CHECK_OK, SRC_DATA_ANALYSIS)
+            changes["state"] = JobState.ENV_SETUP
         else:
-            job = _emit(
-                job, env, SignalKind.DATA_CHECK_FAIL, SRC_DATA_ANALYSIS,
+            log = _emit(
+                log, env, SignalKind.DATA_CHECK_FAIL, SRC_DATA_ANALYSIS,
                 {"reasons": list(result.reasons)},
             )
-            outcome = Outcome(OutcomeKind.DATA_CHECK_FAILED, "; ".join(result.reasons))
-            job = replace(job, state=JobState.COMPLETED, outcome=outcome)
+            changes["state"] = JobState.COMPLETED
+            changes["outcome"] = Outcome(OutcomeKind.DATA_CHECK_FAILED, "; ".join(result.reasons))
 
     elif job.state is JobState.ENV_SETUP:
         acq = acquire_vms(env.provider, job.user_req_vm, job.definition.exec_param_vm, env.clock.now)
         env.clock.advance((1 + acq.attempts_used) * env.cost.vm_create_attempt)
-        job = replace(job, vm_pool=acq.generated_vm)
+        changes["vm_pool"] = acq.generated_vm
         if acq.verdict is AllocationVerdict.INSUFFICIENT:
             payload = {"reason": "could not acquire the minimal VM pool", "acquisition": acq.to_payload()}
-            job = _emit(job, env, SignalKind.VM_FAIL, SRC_ENV_SETUP, payload)
-            job = replace(job, state=JobState.CLEANING_UP)
+            log = _emit(log, env, SignalKind.VM_FAIL, SRC_ENV_SETUP, payload)
+            changes["state"] = JobState.CLEANING_UP
         else:
             env.clock.advance(env.cost.bootstrap)
             boot = bootstrap(env.provider, acq.generated_vm, job.definition.exec_param_vm, env.clock.now)
             if boot.all_ready:
-                job = _emit(job, env, SignalKind.EXEC_START, SRC_ENV_SETUP, {"vms": list(acq.generated_vm)})
-                job = replace(job, state=JobState.EXECUTING)
+                log = _emit(log, env, SignalKind.EXEC_START, SRC_ENV_SETUP, {"vms": list(acq.generated_vm)})
+                changes["state"] = JobState.EXECUTING
             else:
                 payload = {
                     "reason": f"bootstrap failed on {boot.failed_vm}: {boot.reason}",
                     "acquisition": acq.to_payload(),
                     "bootstrap": boot.to_payload(),
                 }
-                job = _emit(job, env, SignalKind.VM_FAIL, SRC_ENV_SETUP, payload)
-                job = replace(job, state=JobState.CLEANING_UP)
+                log = _emit(log, env, SignalKind.VM_FAIL, SRC_ENV_SETUP, payload)
+                changes["state"] = JobState.CLEANING_UP
 
     elif job.state is JobState.EXECUTING:
         result = run_tasks(
             env.provider, job.definition, job.data_input, job.vm_pool, env.clock, env.cost
         )
-        job = replace(job, iteration=dict(result.iterations_by_task))
+        changes["iteration"] = dict(result.iterations_by_task)
         if result.ok:
             env.pending_output[job.job_id] = result.output
-            job = _emit(
-                job, env, SignalKind.TRANSFER_START, SRC_EXECUTION,
+            log = _emit(
+                log, env, SignalKind.TRANSFER_START, SRC_EXECUTION,
                 {"records": len(result.output.records), "partial": result.output.partial},
             )
-            job = replace(job, state=JobState.TRANSFERRING)
+            changes["state"] = JobState.TRANSFERRING
         else:
-            job = _emit(job, env, SignalKind.EXEC_FAILED, SRC_EXECUTION, {"reason": result.reason})
-            job = replace(job, state=JobState.CLEANING_UP)
+            log = _emit(log, env, SignalKind.EXEC_FAILED, SRC_EXECUTION, {"reason": result.reason})
+            changes["state"] = JobState.CLEANING_UP
 
     elif job.state is JobState.TRANSFERRING:
         env.clock.advance(env.cost.transfer)
@@ -262,22 +264,23 @@ def step(job: Job, env: Env) -> tuple[Job, tuple[Signal, ...]]:
                 env.transfer_retry_limit, env.clock.now,
             )
             env.receipts[job.job_id] = receipt
-            job = _emit(
-                job, env, SignalKind.TRANSFER_COMPLETED, SRC_TRANSFER,
+            log = _emit(
+                log, env, SignalKind.TRANSFER_COMPLETED, SRC_TRANSFER,
                 {"files": len(receipt.files)},
             )
         except TransferFailed as e:
-            job = _emit(job, env, SignalKind.EXEC_FAILED, SRC_TRANSFER, {"reason": str(e)})
-        job = replace(job, state=JobState.CLEANING_UP)
+            log = _emit(log, env, SignalKind.EXEC_FAILED, SRC_TRANSFER, {"reason": str(e)})
+        changes["state"] = JobState.CLEANING_UP
 
     elif job.state is JobState.CLEANING_UP:
         env.clock.advance(env.cost.cleanup_per_vm * len(job.vm_pool))
         report = cleanup(env.provider, job.vm_pool, env.clock.now)
-        job = _emit(job, env, SignalKind.SC_COMPLETED, SRC_CLEANUP, {"destroyed": list(report.destroyed)})
-        job = replace(job, state=JobState.COMPLETED, outcome=_derive_outcome(job.event_log))
+        log = _emit(log, env, SignalKind.SC_COMPLETED, SRC_CLEANUP, {"destroyed": list(report.destroyed)})
+        changes["state"] = JobState.COMPLETED
+        changes["outcome"] = _derive_outcome(log)
 
-    emitted = tuple(e.signal for e in job.event_log.entries[before:])
-    return job, emitted
+    emitted = tuple(e.signal for e in log.entries[before:])
+    return replace(job, event_log=log, **changes), emitted
 
 
 def _default_destination(env: Env) -> str:

@@ -6,7 +6,7 @@ Store layout, relative to the store root:
     jobs/<job_id>/output/           # records.jsonl + summary.json
     curation/index.jsonl            # one dataset record per curated job
     curation/claims/<job_id>        # empty; created once, when the job is curated
-    sweeps/<sweep_id>.json          # job ids belonging to a sweep
+    sweeps/<sweep_id>.json          # empty while claimed, then the sweep's job ids
     transfers/<job_id>/             # default destination for job outputs:
                                     #   records.jsonl + payloads/<process>-i<iteration>.txt
     settings.json
@@ -18,13 +18,19 @@ record is in canonical form (sorted keys, no whitespace) and the digest
 is the SHA-256 of exactly those bytes; any byte flip or truncation
 surfaces as CorruptRecord on load. load_job recomputes the digest over
 the parsed record, so pretty-printed records written by earlier versions
-still load. summary.json is canonical JSON too. Writes go through a temp
-file and os.replace, so a reader never observes a half-written record.
+still load. summary.json is canonical JSON too. Writes go through a
+per-process temp file, <name>.<pid>.tmp, and os.replace, so a reader
+never observes a half-written record and concurrent writers of one file
+never share a temp file; a failed write or rename removes its temp file.
 
 Job ids are claimed, not just counted: allocate_job_id creates
 jobs/<job_id> with mkdir and moves to the next number if it exists, so
 two stores on one root never hand out the same id. A directory without
 status.json is a claim whose job was never saved; list_jobs skips it.
+The first candidate comes from a search that lists no directory (see
+_first_unclaimed), so allocation does not grow with the store. Sweep ids
+are found the same way and claimed by creating an empty
+sweeps/<sweep_id>.json with O_EXCL, which save_sweep replaces.
 
 Exactly-once curation rests on the claim file, not on the index: curate
 creates curation/claims/<job_id> with O_EXCL before it appends to
@@ -42,7 +48,7 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .cloud_sim import Provider
 from .core_model import Job, MissingMetric, SmartConnError, canonical_json
@@ -70,9 +76,44 @@ def sha256_hex(data: bytes) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write through <name>.<pid>.tmp and os.replace: a reader sees the old
+    or the new file, and writers in different processes never share a
+    temp file. A failed write or rename removes its temp file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _first_unclaimed(path_of: Callable[[int], str], guess: int = 0) -> int:
+    """The smallest n >= 1 whose path_of(n) does not exist: gallop up to a
+    bound, then bisect, in O(log n) probes. This assumes the claimed
+    numbers are the prefix 1..N, which holds because the program never
+    removes a claim. Where one was removed by hand, the search may return
+    a number past the gap or in it; either is unclaimed, and the caller's
+    exclusive create stays the arbiter.
+
+    The gallop starts at guess when that is claimed, so a guess of N
+    costs two probes; a wrong guess costs one probe more than none.
+    A probe is os.access(F_OK): the existence test the exclusive create
+    makes, at a quarter of the cost of os.path.isdir's stat result."""
+    def claimed(n: int) -> bool:
+        return os.access(path_of(n), os.F_OK)
+
+    # invariant: lo == 0 or claimed(lo); hi is the next probe
+    lo, hi = (guess, guess + 1) if guess > 0 and claimed(guess) else (0, 1)
+    while claimed(hi):
+        lo, hi = hi, hi + 2 * (hi - lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if claimed(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +277,10 @@ class JobStore:
         self.sweeps_dir = self.root / "sweeps"
         self.claims_dir = self.curation_dir / "claims"
         self.transfers_dir = self.root / "transfers"
-        for d in (self.jobs_dir, self.claims_dir, self.sweeps_dir, self.transfers_dir):
-            d.mkdir(parents=True, exist_ok=True)
+        # claims/ is made last, so an existing store costs one stat to open
+        if not self.claims_dir.is_dir():
+            for d in (self.jobs_dir, self.sweeps_dir, self.transfers_dir, self.claims_dir):
+                d.mkdir(parents=True, exist_ok=True)
 
     # -- jobs
 
@@ -248,8 +291,13 @@ class JobStore:
         """Claim the next free job id by creating its directory, so two
         stores on one root, in this process or another, never hand out
         the same id. The id stays claimed even if no job is ever saved
-        under it, so validate a definition before allocating its id."""
-        n = sum(1 for _ in self.jobs_dir.iterdir()) + 1
+        under it, so validate a definition before allocating its id.
+        Finding the first candidate lists no directory (_first_unclaimed).
+        """
+        jobs = str(self.jobs_dir)
+        # a directory's link count is 2 + its subdirectories on ext4, xfs
+        # and tmpfs: the claim count when jobs/ holds only claims
+        n = _first_unclaimed(lambda n: f"{jobs}/job-{n:04d}", os.stat(jobs).st_nlink - 2)
         while True:
             job_id = f"job-{n:04d}"
             try:
@@ -259,13 +307,17 @@ class JobStore:
                 n += 1
 
     def save_job(self, job: Job) -> None:
-        d = self.job_dir(job.job_id)
-        d.mkdir(parents=True, exist_ok=True)
+        path = self.job_dir(job.job_id) / "status.json"
         body = canonical_json(job.to_dict())
         # the bytes of canonical_json({"job": record, "sha256": digest}),
         # with the record encoded once: about 5% more store_fill jobs/s
         # than encoding the wrapper (tests pin the exact bytes)
-        _atomic_write(d / "status.json", f'{{"job":{body},"sha256":"{sha256_hex(body.encode())}"}}\n')
+        text = f'{{"job":{body},"sha256":"{sha256_hex(body.encode())}"}}\n'
+        try:
+            _atomic_write(path, text)
+        except FileNotFoundError:  # an id not claimed by allocate_job_id
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _atomic_write(path, text)
 
     def load_job(self, job_id: str) -> Job:
         path = self.job_dir(job_id) / "status.json"
@@ -354,10 +406,18 @@ class JobStore:
     # -- sweeps
 
     def allocate_sweep_id(self) -> str:
-        n = sum(1 for _ in self.sweeps_dir.iterdir()) + 1
-        while (self.sweeps_dir / f"sweep-{n:04d}.json").exists():
-            n += 1
-        return f"sweep-{n:04d}"
+        """Claim the next free sweep id by creating its empty record with
+        O_EXCL, so two stores on one root never hand out the same id. The
+        search is allocate_job_id's; save_sweep replaces the claim."""
+        sweeps = str(self.sweeps_dir)
+        n = _first_unclaimed(lambda n: f"{sweeps}/sweep-{n:04d}.json")
+        while True:
+            sweep_id = f"sweep-{n:04d}"
+            try:
+                os.close(os.open(f"{sweeps}/{sweep_id}.json", os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                return sweep_id
+            except FileExistsError:
+                n += 1
 
     def save_sweep(self, sweep_id: str, job_ids: Iterable[str]) -> None:
         _atomic_write(
@@ -369,7 +429,11 @@ class JobStore:
         path = self.sweeps_dir / f"{sweep_id}.json"
         if not path.is_file():
             raise UnknownJob(f"no sweep {sweep_id!r} in store {self.root}")
-        return list(json.loads(path.read_text())["jobs"])
+        try:
+            return list(json.loads(path.read_text())["jobs"])
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            # an empty file is an id claimed by a sweep that was never saved
+            raise CorruptRecord(f"{path}: unreadable sweep record ({e})") from None
 
     # -- settings
 

@@ -91,15 +91,15 @@ def bootstrap(provider: Provider, vms: tuple[str, ...], param: ExecParamVM, now:
     whole setup; VMs already provisioned stay Bootstrapped but the caller
     is expected to tear the pool down.
     """
-    commands = [f"install {c}" for c in param.compilers]
-    commands += [f"base-setup {i + 1}" for i in range(param.bootstrap_step_count)]
+    steps = [RemoteStep(KIND_BOOTSTRAP, f"install {c}") for c in param.compilers]
+    steps += [RemoteStep(KIND_BOOTSTRAP, f"base-setup {i + 1}") for i in range(param.bootstrap_step_count)]
     for vm_id in vms:
-        for step_no, command in enumerate(commands, start=1):
-            result = provider.run_remote(vm_id, RemoteStep(KIND_BOOTSTRAP, command), now)
+        for step_no, step in enumerate(steps, start=1):
+            result = provider.run_remote(vm_id, step, now)
             if result.status is StepStatus.VM_UNREACHABLE:
                 return BootstrapResult(False, vm_id, f"vm unreachable at step {step_no}")
             if result.status is StepStatus.STEP_FAILED:
-                return BootstrapResult(False, vm_id, f"step {step_no} ({command}) failed")
+                return BootstrapResult(False, vm_id, f"step {step_no} ({step.command}) failed")
         provider.mark_bootstrapped(vm_id)
     return BootstrapResult(True)
 

@@ -1,3 +1,8 @@
+import hashlib
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from smartconn.cloud_sim import (
@@ -13,6 +18,7 @@ from smartconn.core_model import (
     InvalidDefinition,
     JobState,
     OutcomeKind,
+    SCDefinition,
     SemanticRule,
     SignalKind,
     SyntacticRule,
@@ -33,6 +39,7 @@ from smartconn.sc_engine import (
 from support import FIXED_INPUT, demo_definition, simple_definition
 
 REQ = UserReqVM(3, 2)
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 def run(plan=None, defn=None, data=None, req=REQ, destination=None, env=None, **env_kwargs):
@@ -279,6 +286,30 @@ def test_different_seeds_can_diverge():
     plans = [FaultPlan.seeded(s, p_task_fail=0.5) for s in range(20)]
     logs = {replay(demo_definition(), dict(FIXED_INPUT), REQ, p).to_jsonl() for p in plans}
     assert len(logs) > 1
+
+
+# SHA-256 of the concatenated event logs of the 200 seeded demo jobs below.
+# What a stored seed replays to is part of the contract, so a change to
+# which faults a seed draws, or in what order, must update this digest in
+# place and say so in CHANGES.md.
+SEEDED_DEMO_LOGS_SHA256 = "cc59ef4c32518f364c7566ffb026c319a6ef00280305f8a5ca409fd96963be9f"
+
+
+def test_seeded_fault_draws_are_pinned(tmp_path):
+    defn = SCDefinition.from_dict(json.loads((SAMPLES / "demo_connector.json").read_text()))
+    data = json.loads((SAMPLES / "demo_input.json").read_text())
+    plan = json.loads((SAMPLES / "seeded_faults.json").read_text())
+    rates = {k: v for k, v in plan.items() if k.startswith("p_")}
+    logs, outcomes = [], Counter()
+    for seed in range(200):
+        env = Env(SimulatedProvider(FaultPlan.seeded(seed, **rates)))
+        job = start_job(defn, data, UserReqVM(4, 2), destination=str(tmp_path), job_id=f"job-{seed:04d}")
+        job = run_to_completion(job, env)
+        logs.append(job.event_log.to_jsonl())
+        outcomes[job.outcome.kind] += 1
+    # the pinned logs cover every fault path, not only clean runs
+    assert set(outcomes) == {OutcomeKind.SUCCESS, OutcomeKind.VM_FAILED, OutcomeKind.EXEC_FAILED}
+    assert hashlib.sha256("".join(logs).encode()).hexdigest() == SEEDED_DEMO_LOGS_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import multiprocessing
+import os
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from smartconn.store_transfer import (
     JobStore,
     TransferFailed,
     UnknownJob,
+    _first_unclaimed,
     export_plot_data,
     transfer_output,
     verify_receipt,
@@ -144,6 +148,36 @@ def test_two_stores_on_one_root_claim_distinct_job_ids(tmp_path):
     job, _, _ = run_into_store(tmp_path, store=first)
     assert job.job_id == "job-0003"
     assert [j.job_id for j in second.list_jobs()] == ["job-0003"]
+
+
+def test_allocating_a_job_id_lists_no_directory(tmp_path, monkeypatch):
+    store = JobStore(tmp_path)
+    for _ in range(5):
+        store.allocate_job_id()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocate_job_id listed a directory")
+
+    monkeypatch.setattr(os, "scandir", forbidden)
+    monkeypatch.setattr(os, "listdir", forbidden)
+    monkeypatch.setattr(Path, "iterdir", forbidden)
+    assert store.allocate_job_id() == "job-0006"
+
+
+def test_the_id_search_ignores_a_wrong_guess(tmp_path):
+    # the guess is a directory's link count, which some filesystems do not keep
+    for n in range(1, 21):
+        (tmp_path / str(n)).mkdir()
+        for guess in range(-1, 30):
+            assert _first_unclaimed(lambda k: f"{tmp_path}/{k}", guess) == n + 1
+
+
+def test_the_next_job_id_follows_the_claimed_prefix(tmp_path):
+    store = JobStore(tmp_path)
+    for n in range(1, 38):
+        store.job_dir(f"job-{n:04d}").mkdir()
+    store.job_dir("job-1f0e4c3a9b2d").mkdir()  # a job saved under a start_job default id
+    assert store.allocate_job_id() == "job-0038"
 
 
 def test_job_record_and_summary_are_one_canonical_line_each(tmp_path):
@@ -306,8 +340,66 @@ def test_sweep_grouping_roundtrip(tmp_path):
         store.load_sweep("sweep-9999")
 
 
+def test_two_stores_on_one_root_claim_distinct_sweep_ids(tmp_path):
+    first, second = JobStore(tmp_path), JobStore(tmp_path)
+    a, b = first.allocate_sweep_id(), second.allocate_sweep_id()
+    assert (a, b) == ("sweep-0001", "sweep-0002")
+    with pytest.raises(CorruptRecord):  # claimed, not yet saved
+        first.load_sweep(a)
+    first.save_sweep(a, ["job-0001"])
+    second.save_sweep(b, ["job-0002"])
+    assert (first.load_sweep(a), first.load_sweep(b)) == (["job-0001"], ["job-0002"])
+    assert first.allocate_sweep_id() == "sweep-0003"
+
+
 def test_settings_roundtrip_and_default(tmp_path):
     store = JobStore(tmp_path)
     assert store.load_settings() == {}
     store.save_settings({"vms": "3:2", "provider.seed": 7})
     assert store.load_settings() == {"vms": "3:2", "provider.seed": 7}
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    store = JobStore(tmp_path)
+    store.save_settings({"vms": "3:2"})
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        store.save_settings({"vms": "4:2"})
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["settings.json"]
+    assert store.load_settings() == {"vms": "3:2"}
+
+
+def _write_settings(root, writer, writes, barrier):
+    store = JobStore(root)
+    barrier.wait(timeout=60)
+    for i in range(writes):
+        store.save_settings({"writer": writer, "write": i})
+
+
+def test_concurrent_writers_of_one_file_do_not_collide(tmp_path):
+    # more writers than cores, so their writes interleave; capped so a
+    # large host does not start dozens of interpreters
+    workers = min((os.cpu_count() or 1) + 1, 16)
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(workers)
+    procs = [ctx.Process(target=_write_settings, args=(tmp_path, w, 300, barrier)) for w in range(workers)]
+    for p in procs:
+        p.start()
+    try:
+        for p in procs:
+            p.join(timeout=120)
+        assert not any(p.is_alive() for p in procs)
+        # a writer that raised exits 1, with its traceback on stderr
+        assert [p.exitcode for p in procs] == [0] * workers
+    finally:
+        for p in procs:
+            if p.is_alive():
+                p.kill()
+                p.join(timeout=10)
+    settings = JobStore(tmp_path).load_settings()
+    assert settings["write"] == 299 and 0 <= settings["writer"] < workers
+    assert not list(tmp_path.glob("*.tmp"))
