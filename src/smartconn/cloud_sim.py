@@ -298,8 +298,9 @@ class Provider(ABC):
 class SimulatedProvider(Provider):
     """Fault-plan-driven provider. See module docstring for the model.
 
-    Diagnostics: `journal` records every plan-relevant call in order, and
-    `create_call_count` counts create requests (for retry-budget checks).
+    Diagnostics: `create_call_count` counts create requests (for
+    retry-budget checks). The provider keeps no log of its calls; a test
+    that needs one wraps the methods in a subclass.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -315,7 +316,6 @@ class SimulatedProvider(Provider):
         self._vms: dict[str, VmRecord] = {}
         self._created_order: list[str] = []
         self._lost_at: dict[str, int] = {}
-        self.journal: list[dict[str, Any]] = []
 
     # -- plan consumption
 
@@ -345,7 +345,6 @@ class SimulatedProvider(Provider):
 
     def create_vm(self) -> VmRecord | CreationFailure:
         ok, pos = self._draw(KIND_CREATE)
-        self.journal.append({"op": KIND_CREATE, "ok": ok})
         if not ok:
             return CreationFailure(pos)
         # ids count successful grants only, and are never reused
@@ -356,7 +355,6 @@ class SimulatedProvider(Provider):
 
     def destroy_vm(self, vm_id: str) -> VmRecord:
         vm = self.get_vm(vm_id)
-        self.journal.append({"op": "destroy_vm", "vm": vm_id})
         vm.lifecycle = VmLifecycle.DESTROYED
         return vm
 
@@ -384,31 +382,15 @@ class SimulatedProvider(Provider):
             raise ProviderError(f"vm {vm_id!r} is destroyed")
         if step.kind not in (KIND_BOOTSTRAP, KIND_TASK):
             raise ProviderError(f"unknown remote step kind {step.kind!r}")
-        entry = {
-            "op": "run_remote",
-            "kind": step.kind,
-            "vm": vm_id,
-            "command": step.command,
-            "process": step.process,
-            "task": step.task,
-            "iteration": step.iteration,
-            "t": now,
-        }
         if not self.is_reachable(vm_id, now):
-            entry["result"] = "unreachable"
-            self.journal.append(entry)
             return _UNREACHABLE
         ok, pos = self._draw(step.kind)
-        entry["result"] = "ok" if ok else "failed"
-        self.journal.append(entry)
         if ok:
             return StepResult(StepStatus.OK, output=step.command, plan_position=pos)
         return StepResult(StepStatus.STEP_FAILED, plan_position=pos)
 
     def next_transfer_outcome(self) -> tuple[bool, int]:
-        ok, pos = self._draw(KIND_TRANSFER)
-        self.journal.append({"op": KIND_TRANSFER, "ok": ok})
-        return ok, pos
+        return self._draw(KIND_TRANSFER)
 
     def mark_bootstrapped(self, vm_id: str) -> None:
         vm = self.get_vm(vm_id)

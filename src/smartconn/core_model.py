@@ -40,10 +40,14 @@ class MissingMetric(SmartConnError):
     """A required metric name is absent from every available output."""
 
 
+# json.dumps with non-default arguments builds a new encoder on every call
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: Any) -> str:
     """Serialize to the canonical form used for digests and replay
     comparison: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ inside the task code itself is never recovered; it aborts the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Mapping
 
 from .cloud_sim import Clock, KIND_TASK, Provider, RemoteStep, StepStatus
@@ -31,6 +32,7 @@ from .core_model import (
     SmartConnError,
     TaskCodeKind,
     TaskCodeRef,
+    canonical_json,
 )
 
 
@@ -79,13 +81,22 @@ class OutputRecord:
     metrics: Mapping[str, float]
     payload: str | None = None
 
-    def to_dict(self, payload_path: str | None = None) -> dict[str, Any]:
+    @property
+    def payload_path(self) -> str | None:
+        """Where the transfer writes the payload, relative to the job's
+        transfer root; None when the record carries no payload."""
+        if self.payload is None:
+            return None
+        return f"payloads/{self.process}-i{self.iteration}.txt"
+
+    def to_dict(self) -> dict[str, Any]:
+        """The record's records.jsonl line, before canonical encoding."""
         return {
             "process": self.process,
             "task": self.task,
             "iteration": self.iteration,
             "metrics": dict(self.metrics),
-            "payload_path": payload_path,
+            "payload_path": self.payload_path,
         }
 
 
@@ -343,6 +354,12 @@ class TaskRunOutput:
     task_summaries: Mapping[int, TaskSummary]
     failed: tuple[tuple[str, int], ...]  # (process_id, iteration)
     partial: bool
+
+    @cached_property
+    def records_jsonl(self) -> bytes:
+        """records.jsonl: one canonical record per line, in output order.
+        Encoded on first use; the transfer and the store write these bytes."""
+        return "".join([canonical_json(r.to_dict()) + "\n" for r in self.records]).encode()
 
 
 @dataclass(frozen=True)

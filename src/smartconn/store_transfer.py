@@ -19,9 +19,15 @@ is the SHA-256 of exactly those bytes; any byte flip or truncation
 surfaces as CorruptRecord on load. load_job recomputes the digest over
 the parsed record, so pretty-printed records written by earlier versions
 still load. summary.json is canonical JSON too. Writes go through a
-per-process temp file, <name>.<pid>.tmp, and os.replace, so a reader
-never observes a half-written record and concurrent writers of one file
-never share a temp file; a failed write or rename removes its temp file.
+per-thread temp file, <name>.<pid>.<thread id>.tmp, and os.replace, so a
+reader never observes a half-written record and concurrent writers of one
+file, in other processes or other threads, never share a temp file; a
+failed write or rename removes its temp file.
+
+The job's records.jsonl is encoded once (TaskRunOutput.records_jsonl):
+transfer_output and save_outputs write the same bytes, so a stored
+record's payload_path names the payload file under the job's transfer
+root. A job whose transfer failed has no such file.
 
 Job ids are claimed, not just counted: allocate_job_id creates
 jobs/<job_id> with mkdir and moves to the next number if it exists, so
@@ -45,7 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from abc import ABC, abstractmethod
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
@@ -75,13 +81,14 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write through <name>.<pid>.tmp and os.replace: a reader sees the old
-    or the new file, and writers in different processes never share a
-    temp file. A failed write or rename removes its temp file."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write through <name>.<pid>.<thread id>.tmp and os.replace: a reader
+    sees the old or the new file, and writers in different processes or
+    threads never share a temp file. A failed write or rename removes its
+    temp file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -141,40 +148,6 @@ class TransferReceipt:
     completed_at: int
 
 
-class DestinationAdapter(ABC):
-    """Byte sink for transferred files. Only the local-directory adapter
-    is implemented; a remote-copy adapter would subclass this."""
-
-    @abstractmethod
-    def write_file(self, rel_path: str, data: bytes) -> None: ...
-
-
-class LocalDirDestination(DestinationAdapter):
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def write_file(self, rel_path: str, data: bytes) -> None:
-        path = self.root / rel_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
-
-
-def _render_output_files(output: TaskRunOutput) -> list[tuple[str, bytes]]:
-    """records.jsonl, one canonical record per line in output order, plus
-    one payloads/<process>-i<iteration>.txt per record that carries a
-    payload; the record's payload_path points at that file."""
-    files: list[tuple[str, bytes]] = []
-    lines: list[str] = []
-    for r in output.records:
-        payload_path = None
-        if r.payload is not None:
-            payload_path = f"payloads/{r.process}-i{r.iteration}.txt"
-            files.append((payload_path, r.payload.encode()))
-        lines.append(canonical_json(r.to_dict(payload_path)) + "\n")
-    files.append(("records.jsonl", "".join(lines).encode()))
-    return files
-
-
 def transfer_output(
     output: TaskRunOutput,
     destination: str | Path,
@@ -183,13 +156,16 @@ def transfer_output(
     retry_limit: int = 1,
     now: int = 0,
 ) -> TransferReceipt:
-    """Copy the job's output under destination/job_id/: the records as
-    records.jsonl and any payloads under payloads/.
+    """Copy the job's output under destination/job_id/: records.jsonl
+    (output.records_jsonl, the bytes save_outputs stores) and one
+    payloads/<process>-i<iteration>.txt per record that carries a
+    payload, at the record's payload_path.
 
     Each attempt consumes one transfer outcome from the provider's fault
     plan; after 1 + retry_limit failed attempts raises TransferFailed.
-    The receipt lists every file written with its size and SHA-256,
-    sorted by path.
+    A successful attempt creates its directories with one makedirs. The
+    receipt lists every file written with its size and SHA-256, sorted by
+    path.
     """
     last_pos = -1
     for _ in range(1 + retry_limit):
@@ -197,14 +173,17 @@ def transfer_output(
         if not ok:
             last_pos = pos
             continue
-        job_root = Path(destination) / job_id
-        sink = LocalDirDestination(job_root)
+        job_root = str(Path(destination) / job_id)
+        files = [(r.payload_path, r.payload.encode()) for r in output.records if r.payload is not None]
+        os.makedirs(f"{job_root}/payloads" if files else job_root, exist_ok=True)
+        files.append(("records.jsonl", output.records_jsonl))
         entries = []
-        for rel_path, data in _render_output_files(output):
-            sink.write_file(rel_path, data)
+        for rel_path, data in files:
+            with open(f"{job_root}/{rel_path}", "wb") as fh:
+                fh.write(data)
             entries.append(FileEntry(rel_path, len(data), sha256_hex(data)))
         entries.sort(key=lambda e: e.path)
-        return TransferReceipt(str(job_root), tuple(entries), now)
+        return TransferReceipt(job_root, tuple(entries), now)
     raise TransferFailed(f"transfer failed after retries (last plan position {last_pos})")
 
 
@@ -312,12 +291,12 @@ class JobStore:
         # the bytes of canonical_json({"job": record, "sha256": digest}),
         # with the record encoded once: about 5% more store_fill jobs/s
         # than encoding the wrapper (tests pin the exact bytes)
-        text = f'{{"job":{body},"sha256":"{sha256_hex(body.encode())}"}}\n'
+        data = f'{{"job":{body},"sha256":"{sha256_hex(body.encode())}"}}\n'.encode()
         try:
-            _atomic_write(path, text)
+            _atomic_write(path, data)
         except FileNotFoundError:  # an id not claimed by allocate_job_id
             path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_write(path, text)
+            _atomic_write(path, data)
 
     def load_job(self, job_id: str) -> Job:
         path = self.job_dir(job_id) / "status.json"
@@ -347,14 +326,13 @@ class JobStore:
     def save_outputs(self, job_id: str, output: TaskRunOutput) -> None:
         out_dir = self.job_dir(job_id) / "output"
         out_dir.mkdir(parents=True, exist_ok=True)
-        lines = "".join(canonical_json(r.to_dict()) + "\n" for r in output.records)
-        _atomic_write(out_dir / "records.jsonl", lines)
+        _atomic_write(out_dir / "records.jsonl", output.records_jsonl)
         summary = {
             "tasks": {str(k): s.to_dict() for k, s in sorted(output.task_summaries.items())},
             "failed": [[pid, i] for pid, i in output.failed],
             "partial": output.partial,
         }
-        _atomic_write(out_dir / "summary.json", canonical_json(summary) + "\n")
+        _atomic_write(out_dir / "summary.json", (canonical_json(summary) + "\n").encode())
 
     def load_output_records(self, job_id: str) -> list[dict[str, Any]]:
         path = self.job_dir(job_id) / "output" / "records.jsonl"
@@ -422,7 +400,7 @@ class JobStore:
     def save_sweep(self, sweep_id: str, job_ids: Iterable[str]) -> None:
         _atomic_write(
             self.sweeps_dir / f"{sweep_id}.json",
-            json.dumps({"sweep_id": sweep_id, "jobs": list(job_ids)}, indent=2) + "\n",
+            (json.dumps({"sweep_id": sweep_id, "jobs": list(job_ids)}, indent=2) + "\n").encode(),
         )
 
     def load_sweep(self, sweep_id: str) -> list[str]:
@@ -442,7 +420,8 @@ class JobStore:
         return json.loads(path.read_text()) if path.is_file() else {}
 
     def save_settings(self, settings: Mapping[str, Any]) -> None:
-        _atomic_write(self.root / "settings.json", json.dumps(dict(settings), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(dict(settings), indent=2, sort_keys=True) + "\n"
+        _atomic_write(self.root / "settings.json", text.encode())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared definition builders for the test suite."""
+"""Shared definition builders and a recording provider for the test suite."""
 
 from __future__ import annotations
 
@@ -19,6 +19,28 @@ from smartconn import (
     TaskCodeRef,
     UserReqVM,
 )
+from smartconn.cloud_sim import FaultPlan, RemoteStep, SimulatedProvider, StepResult, StepStatus
+
+
+class RecordingProvider(SimulatedProvider):
+    """A SimulatedProvider that records, in call order, each run_remote
+    call as (vm_id, step, result status) and each next_transfer_outcome
+    result, and otherwise behaves exactly like its parent."""
+
+    def __init__(self, plan: FaultPlan):
+        super().__init__(plan)
+        self.remote_calls: list[tuple[str, RemoteStep, StepStatus]] = []
+        self.transfer_outcomes: list[tuple[bool, int]] = []
+
+    def run_remote(self, vm_id: str, step: RemoteStep, now: int) -> StepResult:
+        result = super().run_remote(vm_id, step, now)
+        self.remote_calls.append((vm_id, step, result.status))
+        return result
+
+    def next_transfer_outcome(self) -> tuple[bool, int]:
+        result = super().next_transfer_outcome()
+        self.transfer_outcomes.append(result)
+        return result
 
 X0_CONSTRAINTS = DataConstraints(
     syntactic_rules=(SyntacticRule("x0", "float"),),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from smartconn.cloud_sim import FaultPlan, ReachabilityLoss, SimulatedProvider, VmLifecycle
+from smartconn.cloud_sim import KIND_TASK, FaultPlan, ReachabilityLoss, SimulatedProvider, VmLifecycle
 from smartconn.cli import main as cli_main
 from smartconn.core_model import (
     CostModel,
@@ -37,7 +37,7 @@ from smartconn.sweep import launch_sweep
 from smartconn.vm_env import check_allocation
 
 from oracle import Prediction, predict
-from support import FIXED_INPUT, FIXED_REQ, demo_definition, fixed_connector, simple_definition
+from support import FIXED_INPUT, FIXED_REQ, RecordingProvider, demo_definition, fixed_connector, simple_definition
 
 STEP_BUDGET = 50  # a terminating job needs at most 6 phase steps
 
@@ -87,8 +87,8 @@ class RunRecord:
     prediction: Prediction
 
 
-def run_with_budget(defn, plan, destination) -> tuple[Job, SimulatedProvider]:
-    provider = SimulatedProvider(plan)
+def run_with_budget(defn, plan, destination) -> tuple[Job, RecordingProvider]:
+    provider = RecordingProvider(plan)
     env = Env(provider)
     job = start_job(defn, dict(FIXED_INPUT), FIXED_REQ, destination=destination)
     for _ in range(STEP_BUDGET):
@@ -175,9 +175,9 @@ def test_rerun_bound(tmp_path_factory):
         for plan in loss_plans:
             _, provider = run_with_budget(defn, plan, destination)
             dispatches = Counter(
-                (e["process"], e["task"], e["iteration"])
-                for e in provider.journal
-                if e["op"] == "run_remote" and e["kind"] == "task_step"
+                (s.process, s.task, s.iteration)
+                for _, s, _ in provider.remote_calls
+                if s.kind == KIND_TASK
             )
             assert all(n <= 1 + rerun_limit for n in dispatches.values()), (rerun_limit, plan)
             bound_hit = bound_hit or any(n == 1 + rerun_limit for n in dispatches.values())

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given
@@ -202,3 +203,16 @@ def test_job_dict_roundtrip_preserves_everything():
 
 def test_canonical_json_is_key_sorted_and_compact():
     assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"z": {"b": [1, {"d": None, "c": True}], "a": 2.5}, "y": []},
+        {"name": "Zürich – 東京", "emoji": "\U0001f600"},
+        {"nan": float("nan"), "inf": float("inf"), "ninf": float("-inf")},
+        "plain string",
+    ],
+)
+def test_canonical_json_equals_json_dumps(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))

@@ -31,7 +31,15 @@ from smartconn.sc_execution import (
     schedule,
 )
 
-from support import FIXED_INPUT, FIXED_REQ, arithmetic_code, contraction_code, demo_definition, simple_definition
+from support import (
+    FIXED_INPUT,
+    FIXED_REQ,
+    RecordingProvider,
+    arithmetic_code,
+    contraction_code,
+    demo_definition,
+    simple_definition,
+)
 
 
 def make_processes(n, task=1, iteration=1, params=None):
@@ -242,7 +250,7 @@ def test_iteration_task_code_failure_is_not_recovered():
 
 
 def run_demo(plan=None, defn=None, data=None):
-    provider = SimulatedProvider(plan or FaultPlan.scripted())
+    provider = RecordingProvider(plan or FaultPlan.scripted())
     pool = ready_pool(provider, 3)
     clock = Clock()
     clock.advance(3)  # as if data check and env setup already happened
@@ -284,7 +292,7 @@ def test_missing_required_input_fails_before_any_dispatch():
     provider, result = run_demo(data={"unrelated": 1.0})
     assert not result.ok
     assert "required inputs missing" in result.reason
-    assert not [e for e in provider.journal if e["op"] == "run_remote"]
+    assert not provider.remote_calls
 
 
 def test_losing_every_vm_leaves_nothing_collectible():

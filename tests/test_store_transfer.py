@@ -1,13 +1,24 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from smartconn.cloud_sim import FaultPlan, SimulatedProvider
-from smartconn.core_model import MissingMetric, OutcomeKind, SweepSpec, UserReqVM, canonical_json
+from smartconn.core_model import (
+    MissingMetric,
+    OutcomeKind,
+    SweepSpec,
+    TaskCodeKind,
+    TaskCodeRef,
+    UserReqVM,
+    canonical_json,
+)
 from smartconn.sc_engine import Env, run_to_completion, start_job
 from smartconn.sc_execution import OutputRecord, TaskRunOutput, TaskSummary
 from smartconn.store_transfer import (
@@ -23,7 +34,7 @@ from smartconn.store_transfer import (
 )
 from smartconn.sweep import launch_sweep
 
-from support import FIXED_INPUT, demo_definition, simple_definition
+from support import FIXED_INPUT, RecordingProvider, demo_definition, simple_definition
 
 REQ = UserReqVM(2, 1)
 
@@ -53,8 +64,10 @@ def test_transfer_writes_one_records_file(tmp_path):
     receipt = transfer_output(output, tmp_path, "job-0001", provider)
     assert [e.path for e in receipt.files] == ["records.jsonl"]
     assert receipt.destination_path == str(tmp_path / "job-0001")
+    # without payloads the transfer makes no payloads/ directory
+    assert [p.name for p in (tmp_path / "job-0001").iterdir()] == ["records.jsonl"]
     lines = (tmp_path / "job-0001" / "records.jsonl").read_text().splitlines()
-    assert lines == [canonical_json(r.to_dict(None)) for r in output.records]
+    assert lines == [canonical_json(r.to_dict()) for r in output.records]
     assert json.loads(lines[0]) == {
         "process": "t1p1", "task": 1, "iteration": 1,
         "metrics": {"value": 4.0}, "payload_path": None,
@@ -72,11 +85,26 @@ def test_transfer_includes_payload_files_when_present(tmp_path):
     assert record["payload_path"] == "payloads/t1p1-i1.txt"
 
 
+def test_stored_and_transferred_records_are_the_same_bytes(tmp_path):
+    command = TaskCodeRef(TaskCodeKind.EXTERNAL_COMMAND, {"command": "solve --x {x0} --iter {iteration}"})
+    defn = dataclasses.replace(simple_definition(max_iterations=2), t_code=(command,))
+    job, store, _ = run_into_store(tmp_path, defn=defn)
+    assert job.outcome.kind is OutcomeKind.SUCCESS
+    stored = (store.job_dir(job.job_id) / "output" / "records.jsonl").read_bytes()
+    transfer_root = store.transfers_dir / job.job_id
+    assert stored == (transfer_root / "records.jsonl").read_bytes()
+    records = [json.loads(line) for line in stored.splitlines()]
+    assert len(records) == 4
+    for r in records:
+        assert r["payload_path"] == f"payloads/{r['process']}-i{r['iteration']}.txt"
+        assert (transfer_root / r["payload_path"]).read_text() == f"solve --x 8.0 --iter {r['iteration']}"
+
+
 def test_transfer_retries_once_by_default(tmp_path):
-    provider = SimulatedProvider(FaultPlan.scripted(transfer=[False, True]))
+    provider = RecordingProvider(FaultPlan.scripted(transfer=[False, True]))
     receipt = transfer_output(two_record_output(), tmp_path, "j", provider)
     assert len(receipt.files) == 1
-    assert [e["ok"] for e in provider.journal if e["op"] == "transfer"] == [False, True]
+    assert [ok for ok, _ in provider.transfer_outcomes] == [False, True]
 
 
 def test_transfer_exhausting_the_budget_raises(tmp_path):
@@ -97,6 +125,35 @@ def test_verify_receipt_catches_tampering(tmp_path):
 
 # ---------------------------------------------------------------------------
 # job persistence
+
+
+def test_threads_writing_one_file_do_not_collide(tmp_path):
+    store = JobStore(tmp_path)
+    errors = []
+
+    def write(writer):
+        try:
+            for i in range(200):
+                store.save_settings({"writer": writer, "write": i})
+        except OSError as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=write, args=(w,)) for w in range(3)]
+    interval = sys.getswitchinterval()
+    # switch threads every 10 µs, so their writes interleave
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    settings = store.load_settings()
+    assert settings["write"] == 199 and 0 <= settings["writer"] < 3
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_save_and_load_job_roundtrip(tmp_path):

@@ -12,6 +12,8 @@ from smartconn.vm_env import (
     cleanup,
 )
 
+from support import RecordingProvider
+
 
 def provider_with(create_vm=(), **kwargs):
     return SimulatedProvider(FaultPlan.scripted(create_vm=list(create_vm), **kwargs))
@@ -148,12 +150,12 @@ def test_acquisition_budget_and_soundness(ideal, minimal_offset, retry_limit, st
 
 
 def test_bootstrap_runs_compiler_installs_then_base_steps():
-    p = provider_with()
+    p = RecordingProvider(FaultPlan.scripted())
     vms = acquire_vms(p, UserReqVM(1, 1), ExecParamVM()).generated_vm
     param = ExecParamVM(compilers=("gcc", "mpicc"), bootstrap_step_count=2)
     result = bootstrap(p, vms, param, now=2)
     assert result.all_ready
-    commands = [e["command"] for e in p.journal if e["op"] == "run_remote"]
+    commands = [s.command for _, s, _ in p.remote_calls]
     assert commands == ["install gcc", "install mpicc", "base-setup 1", "base-setup 2"]
     assert p.get_vm("vm-0").lifecycle is VmLifecycle.BOOTSTRAPPED
 
@@ -168,12 +170,12 @@ def test_bootstrap_step_failure_names_the_step():
 
 
 def test_bootstrap_stops_at_first_failing_vm():
-    p = provider_with(bootstrap_step=[False])
+    p = RecordingProvider(FaultPlan.scripted(bootstrap_step=[False]))
     vms = acquire_vms(p, UserReqVM(2, 2), ExecParamVM()).generated_vm
     result = bootstrap(p, vms, ExecParamVM(), now=2)
     assert not result.all_ready and result.failed_vm == "vm-0"
     # the second VM was never touched
-    touched = {e["vm"] for e in p.journal if e["op"] == "run_remote"}
+    touched = {vm for vm, _, _ in p.remote_calls}
     assert touched == {"vm-0"}
 
 
