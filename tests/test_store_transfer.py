@@ -127,35 +127,6 @@ def test_verify_receipt_catches_tampering(tmp_path):
 # job persistence
 
 
-def test_threads_writing_one_file_do_not_collide(tmp_path):
-    store = JobStore(tmp_path)
-    errors = []
-
-    def write(writer):
-        try:
-            for i in range(200):
-                store.save_settings({"writer": writer, "write": i})
-        except OSError as e:
-            errors.append(e)
-
-    threads = [threading.Thread(target=write, args=(w,)) for w in range(3)]
-    interval = sys.getswitchinterval()
-    # switch threads every 10 µs, so their writes interleave
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    settings = store.load_settings()
-    assert settings["write"] == 199 and 0 <= settings["writer"] < 3
-    assert not list(tmp_path.glob("*.tmp"))
-
-
 def test_save_and_load_job_roundtrip(tmp_path):
     job, store, _ = run_into_store(tmp_path)
     assert store.load_job(job.job_id) == job
@@ -459,4 +430,33 @@ def test_concurrent_writers_of_one_file_do_not_collide(tmp_path):
                 p.join(timeout=10)
     settings = JobStore(tmp_path).load_settings()
     assert settings["write"] == 299 and 0 <= settings["writer"] < workers
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_threads_writing_one_file_do_not_collide(tmp_path):
+    store = JobStore(tmp_path)
+    errors = []
+
+    def write(writer):
+        try:
+            for i in range(200):
+                store.save_settings({"writer": writer, "write": i})
+        except OSError as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=write, args=(w,)) for w in range(3)]
+    interval = sys.getswitchinterval()
+    # switch threads every 10 µs, so their writes interleave
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    settings = store.load_settings()
+    assert settings["write"] == 199 and 0 <= settings["writer"] < 3
     assert not list(tmp_path.glob("*.tmp"))
