@@ -6,17 +6,21 @@ either scripted queues of outcomes consumed in call order, or a seeded
 PRNG (random.Random, the stdlib Mersenne Twister) drawing per-call
 failures. Identical plans plus identical call sequences give identical
 results, which is what makes whole-job replay byte-exact.
+
+SimulatedProvider is the only provider. Its requests and answers are
+named tuples (see core_model); FaultPlan is a frozen dataclass because it
+validates on construction, and VmRecord a plain one because the provider
+updates its lifecycle in place.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .core_model import SmartConnError
 
@@ -54,8 +58,7 @@ class Clock:
 # fault plans
 
 
-@dataclass(frozen=True)
-class ReachabilityLoss:
+class ReachabilityLoss(NamedTuple):
     """Permanent loss of one VM from a given tick onwards."""
 
     vm_id: str
@@ -216,8 +219,7 @@ class VmRecord:
     lifecycle: VmLifecycle = VmLifecycle.CREATED
 
 
-@dataclass(frozen=True)
-class CreationFailure:
+class CreationFailure(NamedTuple):
     """A create call the fault plan refused; position is the consumed
     plan index, for diagnostics."""
 
@@ -230,8 +232,7 @@ class StepStatus(Enum):
     STEP_FAILED = "StepFailed"
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     status: StepStatus
     output: str | None = None
     plan_position: int | None = None
@@ -240,8 +241,7 @@ class StepResult:
 _UNREACHABLE = StepResult(StepStatus.VM_UNREACHABLE)
 
 
-@dataclass(frozen=True)
-class RemoteStep:
+class RemoteStep(NamedTuple):
     """One remote command: its plan queue kind plus trace metadata."""
 
     kind: str
@@ -252,50 +252,10 @@ class RemoteStep:
 
 
 # ---------------------------------------------------------------------------
-# provider interface
+# the provider
 
 
-class Provider(ABC):
-    """What a connector needs from an infrastructure service.
-
-    Only the simulated implementation below exists here; the interface is
-    the seam where a real adapter would plug in.
-    """
-
-    @abstractmethod
-    def create_vm(self) -> VmRecord | CreationFailure:
-        """Request one VM. Consumes one create outcome from the plan."""
-
-    def create_vms_block(self, n: int) -> list[VmRecord | CreationFailure]:
-        """Request n VMs as one block: n consecutive create outcomes,
-        partial success possible."""
-        if n < 0:
-            raise ValueError("block size must be >= 0")
-        return [self.create_vm() for _ in range(n)]
-
-    @abstractmethod
-    def destroy_vm(self, vm_id: str) -> VmRecord:
-        """Destroy a VM. Always succeeds; idempotent on destroyed VMs."""
-
-    @abstractmethod
-    def is_reachable(self, vm_id: str, now: int) -> bool:
-        """Whether the VM answers at tick `now`. Loss is permanent."""
-
-    @abstractmethod
-    def run_remote(self, vm_id: str, step: RemoteStep, now: int) -> StepResult:
-        """Run one step on a VM. Unreachable VMs answer VmUnreachable
-        without consuming a plan outcome."""
-
-    @abstractmethod
-    def next_transfer_outcome(self) -> tuple[bool, int]:
-        """Consume one transfer outcome; returns (ok, plan position)."""
-
-    # environment bookkeeping, no-ops for adapters that do not track it
-    def mark_bootstrapped(self, vm_id: str) -> None:
-        pass
-
-
-class SimulatedProvider(Provider):
+class SimulatedProvider:
     """Fault-plan-driven provider. See module docstring for the model.
 
     Diagnostics: `create_call_count` counts create requests (for
@@ -344,6 +304,7 @@ class SimulatedProvider(Provider):
             raise UnknownVmError(f"unknown vm {vm_id!r}") from None
 
     def create_vm(self) -> VmRecord | CreationFailure:
+        """Request one VM. Consumes one create outcome from the plan."""
         ok, pos = self._draw(KIND_CREATE)
         if not ok:
             return CreationFailure(pos)
@@ -353,12 +314,21 @@ class SimulatedProvider(Provider):
         self._created_order.append(vm.vm_id)
         return vm
 
+    def create_vms_block(self, n: int) -> list[VmRecord | CreationFailure]:
+        """Request n VMs as one block: n consecutive create outcomes,
+        partial success possible."""
+        if n < 0:
+            raise ValueError("block size must be >= 0")
+        return [self.create_vm() for _ in range(n)]
+
     def destroy_vm(self, vm_id: str) -> VmRecord:
+        """Destroy a VM. Always succeeds; idempotent on destroyed VMs."""
         vm = self.get_vm(vm_id)
         vm.lifecycle = VmLifecycle.DESTROYED
         return vm
 
     def is_reachable(self, vm_id: str, now: int) -> bool:
+        """Whether the VM answers at tick `now`. Loss is permanent."""
         vm = self.get_vm(vm_id)
         lost_tick = self._lost_at.get(vm_id)
         if lost_tick is None and self._rng is None:
@@ -377,6 +347,8 @@ class SimulatedProvider(Provider):
         return False
 
     def run_remote(self, vm_id: str, step: RemoteStep, now: int) -> StepResult:
+        """Run one step on a VM. Unreachable VMs answer VmUnreachable
+        without consuming a plan outcome."""
         vm = self.get_vm(vm_id)
         if vm.lifecycle is VmLifecycle.DESTROYED:
             raise ProviderError(f"vm {vm_id!r} is destroyed")
@@ -390,6 +362,7 @@ class SimulatedProvider(Provider):
         return StepResult(StepStatus.STEP_FAILED, plan_position=pos)
 
     def next_transfer_outcome(self) -> tuple[bool, int]:
+        """Consume one transfer outcome; returns (ok, plan position)."""
         return self._draw(KIND_TRANSFER)
 
     def mark_bootstrapped(self, vm_id: str) -> None:

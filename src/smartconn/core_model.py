@@ -1,20 +1,29 @@
 """Domain types for smart connector jobs: definitions, signals, the event
 log, and the worst-case duration bound.
 
-Everything in this module is an immutable value (frozen dataclasses and
-enums) with a stable JSON form. State only ever changes by building new
-values; the transition logic itself lives in sc_engine.
+Everything in this module is an immutable value with a stable JSON form:
+records are typing.NamedTuple classes, which are cheaper to build and to
+copy than frozen dataclasses, and a changed copy is `rec._replace(...)`.
+UserReqVM and CostModel stay frozen dataclasses because they validate in
+__post_init__. Being tuples, records must reach JSON through to_dict()
+only, and compare equal to any tuple of the same values. State only ever
+changes by building new values; the transition logic itself lives in
+sc_engine.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple
 
 Scalar = str | int | float | bool
+
+#: The default of every Mapping field: one shared, read-only empty mapping.
+EMPTY_MAPPING: Mapping[Any, Any] = MappingProxyType({})
 
 #: Sweep variables may not shadow the column names the exporter owns.
 RESERVED_PARAM_NAMES = frozenset({"job_id", "process", "task", "iteration"})
@@ -68,8 +77,7 @@ class SignalKind(Enum):
     SC_COMPLETED = "scCompleted"
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(NamedTuple):
     kind: SignalKind
     payload: Mapping[str, Any] | None = None
 
@@ -77,8 +85,7 @@ class Signal:
         return {"kind": self.kind.value, "payload": dict(self.payload) if self.payload else None}
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One event-log entry: a signal observed at a virtual time."""
 
     virtual_time: int
@@ -95,8 +102,7 @@ class Event:
         return cls(int(d["t"]), sig, str(d["source"]))
 
 
-@dataclass(frozen=True)
-class EventLog:
+class EventLog(NamedTuple):
     """Append-only sequence of events with non-decreasing virtual times.
 
     A log that contains scCompleted is terminal: nothing may follow it.
@@ -165,8 +171,7 @@ class TaskCodeKind(Enum):
 _SCALAR_TYPES = {"int", "float", "str", "bool"}
 
 
-@dataclass(frozen=True)
-class SyntacticRule:
+class SyntacticRule(NamedTuple):
     """Presence/type rule for one input field."""
 
     name: str
@@ -181,8 +186,7 @@ class SyntacticRule:
         return cls(d["name"], d["type"], bool(d.get("required", True)))
 
 
-@dataclass(frozen=True)
-class SemanticRule:
+class SemanticRule(NamedTuple):
     """Comparison over parsed input values.
 
     Exactly one of `value` (compare against a constant) or `other_field`
@@ -211,8 +215,7 @@ class SemanticRule:
         return cls(d["field"], d["op"], d.get("value"), d.get("other_field"))
 
 
-@dataclass(frozen=True)
-class DataConstraints:
+class DataConstraints(NamedTuple):
     syntactic_rules: tuple[SyntacticRule, ...] = ()
     semantic_rules: tuple[SemanticRule, ...] = ()
 
@@ -230,8 +233,7 @@ class DataConstraints:
         )
 
 
-@dataclass(frozen=True)
-class ExecParamVM:
+class ExecParamVM(NamedTuple):
     """Environment-setup parameters: what to install and how hard to retry."""
 
     compilers: tuple[str, ...] = ()
@@ -257,8 +259,7 @@ class ExecParamVM:
         )
 
 
-@dataclass(frozen=True)
-class ConvergenceCriterion:
+class ConvergenceCriterion(NamedTuple):
     metric_name: str
     threshold: float
     direction: Direction
@@ -275,8 +276,7 @@ class ConvergenceCriterion:
         return cls(d["metric_name"], float(d["threshold"]), Direction(d["direction"]))
 
 
-@dataclass(frozen=True)
-class SchedulingConstraints:
+class SchedulingConstraints(NamedTuple):
     min_processes: int | None = None
     colocate: bool = False
 
@@ -289,8 +289,7 @@ class SchedulingConstraints:
         return cls(int(mp) if mp is not None else None, bool(d.get("colocate", False)))
 
 
-@dataclass(frozen=True)
-class ExecParamT:
+class ExecParamT(NamedTuple):
     """Per-task execution parameters."""
 
     required_inputs: tuple[str, ...] = ()
@@ -326,8 +325,7 @@ class ExecParamT:
         )
 
 
-@dataclass(frozen=True)
-class TaskCodeRef:
+class TaskCodeRef(NamedTuple):
     """Reference to the code a task runs plus its kind-specific parameters.
 
     Kinds: BuiltinContraction needs `factor` and one of `start` /
@@ -336,7 +334,7 @@ class TaskCodeRef:
     """
 
     kind: TaskCodeKind
-    spec: Mapping[str, Any] = field(default_factory=dict)
+    spec: Mapping[str, Any] = EMPTY_MAPPING
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind.value, "spec": dict(self.spec)}
@@ -346,11 +344,10 @@ class TaskCodeRef:
         return cls(TaskCodeKind(d["kind"]), dict(d.get("spec", {})))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """Named variables, each with an ordered list of values to sweep."""
 
-    variables: Mapping[str, tuple[Scalar, ...]] = field(default_factory=dict)
+    variables: Mapping[str, tuple[Scalar, ...]] = EMPTY_MAPPING
 
     def to_dict(self) -> dict[str, Any]:
         return {"variables": {k: list(v) for k, v in self.variables.items()}}
@@ -360,8 +357,7 @@ class SweepSpec:
         return cls({k: tuple(v) for k, v in d.get("variables", {}).items()})
 
 
-@dataclass(frozen=True)
-class SCDefinition:
+class SCDefinition(NamedTuple):
     """A reusable connector definition: constraints, environment and task
     parameters, task code references, and an optional sweep."""
 
@@ -436,8 +432,7 @@ class OutcomeKind(Enum):
     EXEC_FAILED = "ExecFailed"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     kind: OutcomeKind
     detail: str = ""
 
@@ -449,8 +444,7 @@ class Outcome:
         return cls(OutcomeKind(d["kind"]), d.get("detail", ""))
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     """One connector execution. Immutable; the engine's step function
     returns successor values."""
 
@@ -460,7 +454,7 @@ class Job:
     user_req_vm: UserReqVM
     state: JobState = JobState.CREATED
     vm_pool: tuple[str, ...] = ()
-    iteration: Mapping[int, int] = field(default_factory=dict)
+    iteration: Mapping[int, int] = EMPTY_MAPPING
     event_log: EventLog = EventLog()
     outcome: Outcome | None = None
     destination: str | None = None

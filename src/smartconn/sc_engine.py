@@ -12,11 +12,12 @@
 
 Each `step` call performs one phase at the environment's clock, appends
 the phase's signal to the job's event log, and returns the successor job
-value. A failed data check terminates immediately: nothing was acquired,
-so there is no cleanup phase and no scCompleted. Every other path funnels
-through CleaningUp, which destroys every VM the job ever created and
-emits scCompleted exactly once. The outcome is Success exactly when
-transferCompleted made it into the log.
+value, built with one `job._replace(...)`. A failed data check
+terminates immediately: nothing was acquired, so there is no cleanup
+phase and no scCompleted. Every other path funnels through CleaningUp,
+which destroys every VM the job ever created and emits scCompleted
+exactly once. The outcome is Success exactly when transferCompleted
+made it into the log.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 import operator
 import tempfile
 import uuid
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Mapping, NamedTuple
 
-from .cloud_sim import Clock, FaultPlan, Provider, SimulatedProvider
+from .cloud_sim import Clock, FaultPlan, SimulatedProvider
 from .core_model import (
     CostModel,
     DataConstraints,
@@ -66,8 +67,7 @@ class StepOnCompleted(SmartConnError):
 # input checking
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     reasons: tuple[str, ...] = ()
 
@@ -133,9 +133,10 @@ def check_input(data_input: Mapping[str, Scalar], constraints: DataConstraints) 
 @dataclass
 class Env:
     """Everything a job run needs besides the job value itself. One Env
-    per job: the clock and fault-plan cursors are job-local."""
+    per job: the clock and fault-plan cursors are job-local. Mutable, unlike
+    the records: each phase updates its clock and its phase products."""
 
-    provider: Provider
+    provider: SimulatedProvider
     clock: Clock = field(default_factory=Clock)
     cost: CostModel = CostModel()  # frozen, so one instance serves every Env
     store: JobStore | None = None
@@ -280,7 +281,7 @@ def step(job: Job, env: Env) -> tuple[Job, tuple[Signal, ...]]:
         changes["outcome"] = _derive_outcome(log)
 
     emitted = tuple(e.signal for e in log.entries[before:])
-    return replace(job, event_log=log, **changes), emitted
+    return job._replace(event_log=log, **changes), emitted
 
 
 def _default_destination(env: Env) -> str:

@@ -9,6 +9,10 @@ flight with the task's strategy: AbandonAndCollect writes the stranded
 processes off and keeps the survivors' outputs, RerunElsewhere moves them
 to reachable VMs until the per-process rerun budget runs out. A failure
 inside the task code itself is never recovered; it aborts the run.
+
+Results are named tuples. ProcessInstance and IterationOutcome stay
+dataclasses because the loop mutates them, and TaskRunOutput because it
+caches its encoded records.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
-from .cloud_sim import Clock, KIND_TASK, Provider, RemoteStep, StepStatus
+from .cloud_sim import Clock, KIND_TASK, RemoteStep, SimulatedProvider, StepStatus
 from .core_model import (
+    EMPTY_MAPPING,
     ConvergenceCriterion,
     CostModel,
     Direction,
@@ -71,8 +76,7 @@ class ProcessInstance:
     output: "OutputRecord | None" = None
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """What one process produced in one iteration."""
 
     process: str
@@ -100,8 +104,7 @@ class OutputRecord:
         }
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """process_id -> vm_id for one iteration."""
 
     mapping: Mapping[str, str]
@@ -196,7 +199,7 @@ def run_task_code(t_code: TaskCodeRef, process: ProcessInstance) -> OutputRecord
 
 
 def detect_unreachable(
-    provider: Provider, assignment: Assignment, now: int
+    provider: SimulatedProvider, assignment: Assignment, now: int
 ) -> tuple[set[str], set[str]]:
     """(lost VM ids, affected process ids) for an assignment at `now`."""
     lost = {vm for vm in set(assignment.mapping.values()) if not provider.is_reachable(vm, now)}
@@ -204,8 +207,7 @@ def detect_unreachable(
     return lost, affected
 
 
-@dataclass(frozen=True)
-class RevisedPlan:
+class RevisedPlan(NamedTuple):
     reassigned: Mapping[str, str]  # process_id -> new vm_id
     failed: tuple[str, ...]  # process ids now failed beyond recovery
 
@@ -248,8 +250,7 @@ class IterationOutcome:
     failed_beyond_recovery: set[str] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
-class ConvergenceVerdict:
+class ConvergenceVerdict(NamedTuple):
     converged: bool
     metric: float
 
@@ -271,7 +272,7 @@ def check_convergence(outcome: IterationOutcome, criterion: ConvergenceCriterion
 
 
 def _dispatch(
-    provider: Provider, process: ProcessInstance, t_code: TaskCodeRef, now: int
+    provider: SimulatedProvider, process: ProcessInstance, t_code: TaskCodeRef, now: int
 ) -> StepStatus:
     """Run one remote step for a process; on success attach the output."""
     step = RemoteStep(
@@ -293,7 +294,7 @@ def _dispatch(
 
 
 def execute_iteration(
-    provider: Provider,
+    provider: SimulatedProvider,
     processes: list[ProcessInstance],
     t_code: TaskCodeRef,
     param: ExecParamT,
@@ -334,8 +335,7 @@ def execute_iteration(
 # the per-job task loop
 
 
-@dataclass(frozen=True)
-class TaskSummary:
+class TaskSummary(NamedTuple):
     iterations_run: int
     converged: bool | None  # None when the task has no criterion
     final_metric: float | None
@@ -362,16 +362,15 @@ class TaskRunOutput:
         return "".join([canonical_json(r.to_dict()) + "\n" for r in self.records]).encode()
 
 
-@dataclass(frozen=True)
-class TaskRunResult:
+class TaskRunResult(NamedTuple):
     ok: bool
     output: TaskRunOutput | None = None
     reason: str | None = None
-    iterations_by_task: Mapping[int, int] = field(default_factory=dict)
+    iterations_by_task: Mapping[int, int] = EMPTY_MAPPING
 
 
 def run_tasks(
-    provider: Provider,
+    provider: SimulatedProvider,
     defn: SCDefinition,
     data_input: Mapping[str, Scalar],
     vm_pool: tuple[str, ...],

@@ -52,11 +52,10 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from .cloud_sim import Provider
+from .cloud_sim import SimulatedProvider
 from .core_model import Job, MissingMetric, SmartConnError, canonical_json
 from .sc_execution import TaskRunOutput
 
@@ -127,8 +126,7 @@ def _first_unclaimed(path_of: Callable[[int], str], guess: int = 0) -> int:
 # transfer
 
 
-@dataclass(frozen=True)
-class FileEntry:
+class FileEntry(NamedTuple):
     path: str  # relative to the receipt's destination_path
     size: int
     sha256: str
@@ -141,8 +139,7 @@ class FileEntry:
         return cls(d["path"], int(d["size"]), d["sha256"])
 
 
-@dataclass(frozen=True)
-class TransferReceipt:
+class TransferReceipt(NamedTuple):
     destination_path: str
     files: tuple[FileEntry, ...]
     completed_at: int
@@ -152,7 +149,7 @@ def transfer_output(
     output: TaskRunOutput,
     destination: str | Path,
     job_id: str,
-    provider: Provider,
+    provider: SimulatedProvider,
     retry_limit: int = 1,
     now: int = 0,
 ) -> TransferReceipt:
@@ -208,8 +205,7 @@ def verify_receipt(receipt: TransferReceipt) -> list[str]:
 # curation
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
+class DatasetRecord(NamedTuple):
     dataset_id: str
     job_id: str
     parameters: Mapping[str, Any]

@@ -4,15 +4,13 @@ isolated job per binding."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .core_model import InvalidDefinition, Scalar, SCDefinition, SweepSpec, UserReqVM, validate_definition
 from .sc_engine import Env, Job, run_to_completion, start_job
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     binding_id: str
     values: Mapping[str, Scalar]
 

@@ -11,10 +11,10 @@ for one VM. Rounds stop as soon as the minimum is reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .cloud_sim import KIND_BOOTSTRAP, Provider, RemoteStep, StepStatus, VmRecord
+from .cloud_sim import KIND_BOOTSTRAP, RemoteStep, SimulatedProvider, StepStatus, VmRecord
 from .core_model import ExecParamVM, RetryStrategy, UserReqVM
 
 
@@ -32,8 +32,7 @@ def check_allocation(ideal: int, minimal: int, generated_count: int) -> bool:
     return minimal <= generated_count <= ideal
 
 
-@dataclass(frozen=True)
-class AcquisitionResult:
+class AcquisitionResult(NamedTuple):
     generated_vm: tuple[str, ...]
     attempts_used: int  # retry rounds only, the initial block is not counted
     verdict: AllocationVerdict
@@ -46,7 +45,7 @@ class AcquisitionResult:
         }
 
 
-def acquire_vms(provider: Provider, req: UserReqVM, param: ExecParamVM, now: int = 0) -> AcquisitionResult:
+def acquire_vms(provider: SimulatedProvider, req: UserReqVM, param: ExecParamVM, now: int = 0) -> AcquisitionResult:
     """Build a VM pool per the policy in the module docstring.
 
     The result's verdict is Sufficient exactly when the pool size passes
@@ -75,8 +74,7 @@ def acquire_vms(provider: Provider, req: UserReqVM, param: ExecParamVM, now: int
     return AcquisitionResult(tuple(pool), attempts, verdict)
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(NamedTuple):
     all_ready: bool
     failed_vm: str | None = None
     reason: str | None = None
@@ -85,7 +83,7 @@ class BootstrapResult:
         return {"all_ready": self.all_ready, "failed_vm": self.failed_vm, "reason": self.reason}
 
 
-def bootstrap(provider: Provider, vms: tuple[str, ...], param: ExecParamVM, now: int) -> BootstrapResult:
+def bootstrap(provider: SimulatedProvider, vms: tuple[str, ...], param: ExecParamVM, now: int) -> BootstrapResult:
     """Provision every VM in order: one install step per listed compiler,
     then bootstrap_step_count base steps. The first failing step fails the
     whole setup; VMs already provisioned stay Bootstrapped but the caller
@@ -104,13 +102,12 @@ def bootstrap(provider: Provider, vms: tuple[str, ...], param: ExecParamVM, now:
     return BootstrapResult(True)
 
 
-@dataclass(frozen=True)
-class CleanupReport:
+class CleanupReport(NamedTuple):
     destroyed: tuple[str, ...]
     time: int
 
 
-def cleanup(provider: Provider, vms: tuple[str, ...], now: int) -> CleanupReport:
+def cleanup(provider: SimulatedProvider, vms: tuple[str, ...], now: int) -> CleanupReport:
     """Destroy every listed VM. Destruction always succeeds and repeating
     it is harmless, so the report simply lists everything now destroyed."""
     destroyed: list[str] = []

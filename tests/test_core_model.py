@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -15,16 +14,21 @@ from smartconn import (
     SCDefinition,
     SignalKind,
     SweepSpec,
+    TaskCodeKind,
+    TaskCodeRef,
     UserReqVM,
     validate_definition,
     wcet_bound,
 )
 from smartconn.core_model import (
+    Event,
     EventLogError,
     Signal,
     append_event,
     canonical_json,
 )
+from smartconn.sc_execution import OutputRecord
+from smartconn.store_transfer import DatasetRecord, FileEntry, TransferReceipt
 from support import arithmetic_code, demo_definition, simple_definition
 
 
@@ -37,8 +41,7 @@ def test_valid_definition_has_no_violations():
 
 
 def test_task_code_length_mismatch_is_reported():
-    defn = dataclasses.replace(
-        simple_definition(),
+    defn = simple_definition()._replace(
         exec_param_t=(ExecParamT(), ExecParamT()),
         t_code=(arithmetic_code(),),
     )
@@ -53,14 +56,13 @@ def test_empty_sweep_value_list_names_the_variable():
 
 
 def test_negative_retry_limit_is_a_violation_not_an_exception():
-    defn = dataclasses.replace(simple_definition(), exec_param_vm=ExecParamVM(retry_limit=-1))
+    defn = simple_definition()._replace(exec_param_vm=ExecParamVM(retry_limit=-1))
     violations = validate_definition(defn)
     assert any("retry_limit" in v and "-1" in v for v in violations)
 
 
 def test_all_violations_are_collected():
-    defn = dataclasses.replace(
-        simple_definition(sweep=SweepSpec({"T": ()})),
+    defn = simple_definition(sweep=SweepSpec({"T": ()}))._replace(
         name="",
         exec_param_vm=ExecParamVM(retry_limit=-1, bootstrap_step_count=0),
     )
@@ -144,8 +146,7 @@ def test_unit_cost_single_task_bound_is_six():
 
 
 def test_two_task_bound_sums_per_task_iteration_budgets():
-    defn = dataclasses.replace(
-        simple_definition(),
+    defn = simple_definition()._replace(
         exec_param_vm=ExecParamVM(retry_limit=2),
         exec_param_t=(ExecParamT(max_iterations=3), ExecParamT(max_iterations=2)),
         t_code=(arithmetic_code(), arithmetic_code()),
@@ -162,7 +163,7 @@ def test_two_task_bound_sums_per_task_iteration_budgets():
 
 
 def test_bound_refuses_invalid_definitions():
-    bad = dataclasses.replace(simple_definition(), t_code=())
+    bad = simple_definition()._replace(t_code=())
     with pytest.raises(InvalidDefinition):
         wcet_bound(bad, UserReqVM(1, 1), CostModel())
 
@@ -198,7 +199,46 @@ def test_job_dict_roundtrip_preserves_everything():
         event_log=log,
         destination="/tmp/out",
     )
-    assert Job.from_dict(job.to_dict()) == job
+    # a Created job keeps the shared read-only default of `iteration`
+    created = Job("job-0002", demo_definition(), {"x0": 8.0}, UserReqVM(3, 2), event_log=log)
+    for j in (job, created):
+        assert Job.from_dict(j.to_dict()) == j
+
+
+def _records():
+    signal = Signal(SignalKind.SC_START)
+    entry = FileEntry("records.jsonl", 3, "ab")
+    return [
+        (Job("job-0001", demo_definition(), {"x0": 8.0}, UserReqVM(3, 2)), "state"),
+        (Event(0, signal, "user"), "source"),
+        (signal, "kind"),
+        (demo_definition(), "name"),
+        (OutputRecord("t1p1", 1, 1, {"value": 4.0}), "metrics"),
+        (entry, "size"),
+        (TransferReceipt("/tmp/out", (entry,), 5), "files"),
+        (DatasetRecord("ds-job-0001", "job-0001", {}, {}, (entry,), 5, False), "partial"),
+    ]
+
+
+@pytest.mark.parametrize("record,attr", _records(), ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_records_refuse_attribute_assignment(record, attr):
+    with pytest.raises(AttributeError):
+        setattr(record, attr, None)
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        Job("job-0001", demo_definition(), {"x0": 8.0}, UserReqVM(3, 2)).iteration,
+        TaskCodeRef(TaskCodeKind.BUILTIN_CONTRACTION).spec,
+        SweepSpec().variables,
+    ],
+    ids=["Job.iteration", "TaskCodeRef.spec", "SweepSpec.variables"],
+)
+def test_defaulted_mapping_fields_refuse_item_assignment(mapping):
+    # the default is shared by every record built without the field
+    with pytest.raises(TypeError):
+        mapping[1] = 1
 
 
 def test_canonical_json_is_key_sorted_and_compact():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,8 +215,8 @@ def test_iteration_survivors_are_kept_when_a_vm_is_lost_and_abandoned():
     pool = ready_pool(p, 2)
     ps = make_processes(2, params={"x0": 8.0})
     schedule(ps, list(pool), None)
-    param = replace(
-        demo_definition().exec_param_t[0], rerun_limit=0, ft_strategy=FtStrategy.ABANDON_AND_COLLECT
+    param = demo_definition().exec_param_t[0]._replace(
+        rerun_limit=0, ft_strategy=FtStrategy.ABANDON_AND_COLLECT
     )
     out = execute_iteration(p, ps, contraction_code(), param, pool, now=4)
     assert sorted(out.outputs) == ["t1p2"]

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -87,7 +86,7 @@ def test_transfer_includes_payload_files_when_present(tmp_path):
 
 def test_stored_and_transferred_records_are_the_same_bytes(tmp_path):
     command = TaskCodeRef(TaskCodeKind.EXTERNAL_COMMAND, {"command": "solve --x {x0} --iter {iteration}"})
-    defn = dataclasses.replace(simple_definition(max_iterations=2), t_code=(command,))
+    defn = simple_definition(max_iterations=2)._replace(t_code=(command,))
     job, store, _ = run_into_store(tmp_path, defn=defn)
     assert job.outcome.kind is OutcomeKind.SUCCESS
     stored = (store.job_dir(job.job_id) / "output" / "records.jsonl").read_bytes()
