@@ -23,8 +23,8 @@ made it into the log.
 from __future__ import annotations
 
 import operator
+import os
 import tempfile
-import uuid
 from dataclasses import dataclass, field
 from typing import Any, Mapping, NamedTuple
 
@@ -162,7 +162,7 @@ def start_job(
         raise InvalidDefinition(violations)
     log = append_event(EventLog(), 0, Signal(SignalKind.SC_START), SRC_USER)
     return Job(
-        job_id=job_id or f"job-{uuid.uuid4().hex[:12]}",
+        job_id=job_id or f"job-{os.urandom(6).hex()}",
         definition=defn,
         data_input=dict(data_input),
         user_req_vm=req,
@@ -291,10 +291,9 @@ def _default_destination(env: Env) -> str:
 
 
 def run_to_completion(job: Job, env: Env) -> Job:
-    """Drive the job until Completed. Persists the job (and any outputs)
-    when the environment has a store, and curates transferred results."""
-    if env.store is not None:
-        env.store.save_job(job)
+    """Drive the job until Completed, then, with a store, save its outputs,
+    its one status record and a transferred result's curation, in that
+    order: a run that dies midway leaves no record that misreports it."""
     while job.state is not JobState.COMPLETED:
         job, _ = step(job, env)
     if env.store is not None:

@@ -31,11 +31,12 @@ root. A job whose transfer failed has no such file.
 
 Job ids are claimed, not just counted: allocate_job_id creates
 jobs/<job_id> with mkdir and moves to the next number if it exists, so
-two stores on one root never hand out the same id. A directory without
-status.json is a claim whose job was never saved; list_jobs skips it.
-The first candidate comes from a search that lists no directory (see
-_first_unclaimed), so allocation does not grow with the store. Sweep ids
-are found the same way and claimed by creating an empty
+two stores on one root never hand out the same id. status.json is
+written once, when the job completes; until then, and for good if its
+process dies midway, the job is only that directory, which list_jobs
+skips. The first candidate comes from a search that lists no directory
+(see _first_unclaimed), so allocation does not grow with the store.
+Sweep ids are found the same way and claimed by creating an empty
 sweeps/<sweep_id>.json with O_EXCL, which save_sweep replaces.
 
 Exactly-once curation rests on the claim file, not on the index: curate
@@ -309,8 +310,8 @@ class JobStore:
         return Job.from_dict(record)
 
     def list_jobs(self) -> list[Job]:
-        """Every saved job; an id claimed by a process that died before its
-        first save has a directory but no status.json and is skipped."""
+        """Every saved job; the claimed directory of a job still running,
+        or of one whose process died, has no status.json and is skipped."""
         return [
             self.load_job(p.name)
             for p in sorted(self.jobs_dir.iterdir())

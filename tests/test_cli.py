@@ -234,3 +234,16 @@ def test_module_entry_point_runs(workspace):
     )
     assert result.returncode == 0, result.stderr
     assert "JOB" in result.stdout
+
+
+def test_importing_the_cli_loads_neither_uuid_nor_platform():
+    # a fresh interpreter: this test process may have imported both already
+    package_root = Path(smartconn.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, smartconn.cli; print(sorted({'uuid', 'platform'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -134,6 +135,7 @@ def test_default_job_ids_are_distinct():
     a = start_job(demo_definition(), dict(FIXED_INPUT), REQ)
     b = start_job(demo_definition(), dict(FIXED_INPUT), REQ)
     assert a.job_id != b.job_id
+    assert re.fullmatch(r"job-[0-9a-f]{12}", a.job_id) and re.fullmatch(r"job-[0-9a-f]{12}", b.job_id)
 
 
 def test_step_walks_the_states_in_order():

@@ -8,10 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from smartconn.cloud_sim import FaultPlan, SimulatedProvider
+from smartconn.cli import main as cli_main
+from smartconn.cloud_sim import KIND_TASK, FaultPlan, SimulatedProvider
 from smartconn.core_model import (
+    FtStrategy,
+    JobState,
     MissingMetric,
     OutcomeKind,
+    RetryStrategy,
     SweepSpec,
     TaskCodeKind,
     TaskCodeRef,
@@ -33,7 +37,7 @@ from smartconn.store_transfer import (
 )
 from smartconn.sweep import launch_sweep
 
-from support import FIXED_INPUT, RecordingProvider, demo_definition, simple_definition
+from support import FIXED_INPUT, RecordingProvider, demo_definition, fixed_connector, simple_definition
 
 REQ = UserReqVM(2, 1)
 
@@ -135,6 +139,73 @@ def test_save_and_load_job_roundtrip(tmp_path):
     rejected, _, _ = run_into_store(tmp_path, data={"x0": -1.0}, store=store)
     assert rejected.outcome.kind is OutcomeKind.DATA_CHECK_FAILED
     assert [p.name for p in store.job_dir(rejected.job_id).iterdir()] == ["status.json"]
+
+
+_writes: list[str] | None = None  # final paths written while a test watches
+
+
+def _watch_writes(event, args):
+    if _writes is None:
+        return
+    if event == "os.rename":
+        _writes.append(str(args[1]))
+    elif event == "open" and args[2] & (os.O_WRONLY | os.O_RDWR) and not str(args[0]).endswith(".tmp"):
+        _writes.append(str(args[0]))
+
+
+sys.addaudithook(_watch_writes)  # idle while _writes is None; a hook cannot be removed
+
+
+def test_a_stored_job_writes_its_record_once_and_no_path_twice(tmp_path, monkeypatch):
+    global _writes
+    saved = []
+    save_job = JobStore.save_job
+
+    def recording_save_job(self, job):
+        saved.append(job.state.value)
+        save_job(self, job)
+
+    monkeypatch.setattr(JobStore, "save_job", recording_save_job)
+    store = JobStore(tmp_path / "store")
+    _writes = []
+    try:
+        job, _, _ = run_into_store(tmp_path, store=store)
+        written = [p for p in _writes if p.startswith(str(store.root))]
+    finally:
+        _writes = None
+    assert job.outcome.kind is OutcomeKind.SUCCESS
+    assert saved == ["Completed"]
+    # status.json, records.jsonl and summary.json, the transferred
+    # records.jsonl, the curation claim and the index append
+    assert len(written) == 6 and len(set(written)) == 6, written
+
+
+class _ProcessDied(Exception):
+    pass
+
+
+class _DiesOnFirstTaskStep(SimulatedProvider):
+    def run_remote(self, vm_id, step, now):
+        if step.kind == KIND_TASK:
+            raise _ProcessDied(step.command)
+        return super().run_remote(vm_id, step, now)
+
+
+def test_a_job_interrupted_mid_run_is_only_its_claim(tmp_path, monkeypatch, capsys):
+    done, store, _ = run_into_store(tmp_path)
+    env = Env(_DiesOnFirstTaskStep(FaultPlan.scripted()), store=store)
+    job = start_job(demo_definition(), dict(FIXED_INPUT), REQ, job_id=store.allocate_job_id())
+    with pytest.raises(_ProcessDied):
+        run_to_completion(job, env)
+    assert list(store.job_dir(job.job_id).iterdir()) == []
+    assert not list(store.root.rglob("*.tmp"))
+    assert [j.job_id for j in store.list_jobs()] == [done.job_id]
+    with pytest.raises(UnknownJob):
+        store.load_job(job.job_id)
+    monkeypatch.setenv("SC_STORE", str(store.root))
+    assert cli_main(["job", "status", job.job_id]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert (done.job_id, job.job_id, store.allocate_job_id()) == ("job-0001", "job-0002", "job-0003")
 
 
 def test_unknown_job_raises(tmp_path):
@@ -430,6 +501,45 @@ def test_concurrent_writers_of_one_file_do_not_collide(tmp_path):
     settings = JobStore(tmp_path).load_settings()
     assert settings["write"] == 299 and 0 <= settings["writer"] < workers
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def _create_jobs(root, defn_path, input_path, jobs, barrier):
+    os.environ["SC_STORE"] = str(root)
+    barrier.wait(timeout=60)
+    for _ in range(jobs):
+        args = ["job", "create", "--def", str(defn_path), "--input", str(input_path), "--vms", "3:2"]
+        if cli_main(args) != 0:
+            sys.exit(1)
+
+
+def test_concurrent_job_creates_on_one_store_stay_distinct(tmp_path):
+    defn_path = tmp_path / "connector.json"
+    defn_path.write_text(json.dumps(fixed_connector(RetryStrategy.BLOCK, FtStrategy.RERUN_ELSEWHERE).to_dict()))
+    input_path = tmp_path / "input.json"
+    input_path.write_text(json.dumps(FIXED_INPUT))
+    root = tmp_path / "store"
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    procs = [ctx.Process(target=_create_jobs, args=(root, defn_path, input_path, 10, barrier)) for _ in range(2)]
+    for p in procs:
+        p.start()
+    try:
+        for p in procs:
+            p.join(timeout=120)
+        assert [p.exitcode for p in procs] == [0, 0]
+    finally:
+        for p in procs:
+            if p.is_alive():
+                p.kill()
+                p.join(timeout=10)
+    store = JobStore(root)
+    jobs = store.list_jobs()
+    ids = sorted(j.job_id for j in jobs)
+    assert len(set(ids)) == 20
+    assert all(j.state is JobState.COMPLETED and j.outcome.kind is OutcomeKind.SUCCESS for j in jobs)
+    assert sorted(r.job_id for r in store.load_curation()) == ids
+    assert sorted(p.name for p in store.claims_dir.iterdir()) == ids
+    assert not list(root.rglob("*.tmp"))
 
 
 def test_threads_writing_one_file_do_not_collide(tmp_path):
